@@ -447,7 +447,7 @@ func BenchmarkAnnotationInference_On(b *testing.B)  { benchPruning(b, true) }
 // The *_RefEngine benchmarks rerun three interpreter-bound figures on
 // the one-Step()-per-instruction reference engine. Simulated metrics
 // (cycles/op, instrs/op, mem/op) are bit-identical to the default
-// threaded-code engine — asserted by TestBenchFiguresEngineParity — so
+// native engine — asserted by TestBenchFiguresEngineParity — so
 // the only difference is host ns/op and simInstrs/sec.
 
 func BenchmarkFigure1_Sp3_RefEngine(b *testing.B) {

@@ -11,16 +11,16 @@
 // modeled jmp_buf copy events.
 //
 //	go run ./cmd/cmmbench                # figure tables, markdown
-//	go run ./cmd/cmmbench -bench -out BENCH_pr3.json
+//	go run ./cmd/cmmbench -engines                        # ref vs native throughput
 //	go run ./cmd/cmmbench -olevels                        # -O0 vs -O2 table
 //	go run ./cmd/cmmbench -olevels -json BENCH_pr5.json   # + JSON report
 //	go run ./cmd/cmmbench -olevels -goldens testdata/bench
 //	go run ./cmd/cmmbench -report -json BENCH_pr8.json    # combined report
 //	go run ./cmd/cmmbench -stacks -json BENCH_pr9.json -update-experiments EXPERIMENTS.md
 //
-// -bench measures host throughput (ns/op and simulated instructions
-// retired per host second) of both execution engines on fixed workloads
-// and writes a JSON report.
+// -engines measures host throughput (ns/op and simulated instructions
+// retired per host second) of both execution engines on every optimizer
+// workload, plus the native tier's kernel coverage.
 //
 // -olevels reruns the fixed optimizer workloads (paper.CycleWorkloads)
 // at -O0 and -O2 and prints the EXPERIMENTS.md cycles/op table.
@@ -54,8 +54,7 @@ import (
 )
 
 var (
-	benchMode    = flag.Bool("bench", false, "measure host throughput of both engines instead of printing figure tables")
-	enginesMode  = flag.Bool("engines", false, "measure host throughput of all three engines on the fixed workloads")
+	enginesMode  = flag.Bool("engines", false, "measure host throughput of both engines (ref, native) on the fixed workloads")
 	olevelsMode  = flag.Bool("olevels", false, "measure simulated cycles of the fixed workloads at -O0 and -O2")
 	reportMode   = flag.Bool("report", false, "run both the -olevels and -engines measurements; with -json, write one combined report for the cmmreport sentinel")
 	stacksMode   = flag.Bool("stacks", false, "race the four stack policies across the Figure 2 mechanisms; with -json, write the strategy × mechanism matrix")
@@ -69,8 +68,8 @@ var (
 // benchSchemaVersion versions the JSON reports cmmbench writes. Version
 // 2 added the envelope itself (schema_version, host, engine_names) and
 // the kernel columns of the engines rows; version-1 files are the bare
-// {"olevels":...} / {"engines":...} / {"benchmarks":...} objects
-// earlier PRs checked in, which cmmreport still accepts.
+// {"olevels":...} / {"engines":...} objects earlier PRs checked in,
+// which cmmreport still accepts.
 const benchSchemaVersion = 2
 
 // benchHost records where a report's host-time numbers were measured.
@@ -118,8 +117,6 @@ func main() {
 	}
 	var err error
 	switch {
-	case *benchMode:
-		err = writeBench(out)
 	case *reportMode:
 		err = writeReport(out)
 	case *stacksMode:
@@ -415,7 +412,7 @@ func writeOLevels(out *os.File) error {
 	printOLevelsTable(out, rows)
 
 	if *jsonOut != "" {
-		if err := writeJSONReport([]string{"fast"}, map[string]any{"olevels": rows}); err != nil {
+		if err := writeJSONReport([]string{"native"}, map[string]any{"olevels": rows}); err != nil {
 			return err
 		}
 	}
@@ -452,15 +449,6 @@ func writeOLevels(out *os.File) error {
 	return nil
 }
 
-// benchResult is one row of the -bench JSON report.
-type benchResult struct {
-	Name            string  `json:"name"`
-	Engine          string  `json:"engine"`
-	NsPerOp         float64 `json:"ns_per_op"`
-	SimInstrsPerOp  int64   `json:"sim_instrs_per_op"`
-	SimInstrsPerSec float64 `json:"sim_instrs_per_sec"`
-}
-
 // runThroughput times mach.Run(proc, args...) until ~0.3s has elapsed.
 func runThroughput(mach *cmm.Machine, proc string, args ...uint64) (float64, int64, error) {
 	if _, err := mach.Run(proc, args...); err != nil { // warm-up
@@ -481,48 +469,6 @@ func runThroughput(mach *cmm.Machine, proc string, args ...uint64) (float64, int
 		iters++
 	}
 	return float64(elapsed.Nanoseconds()) / float64(iters), instrsPerOp, nil
-}
-
-func writeBench(out *os.File) error {
-	workloads := []struct {
-		name string
-		src  string
-		proc string
-		args []uint64
-	}{
-		{"fig34-normal-returns", paper.Fig34, "f", []uint64{100000}},
-		{"fig2-cut-depth256", paper.Fig2Cut, "f", []uint64{256}},
-	}
-	var results []benchResult
-	for _, w := range workloads {
-		for _, eng := range []struct {
-			name string
-			e    cmm.Engine
-		}{{"fast", cmm.EngineFast}, {"ref", cmm.EngineRef}} {
-			mod, err := cmm.Load(w.src)
-			if err != nil {
-				return err
-			}
-			mach, err := mod.Native(cmm.CompileConfig{}, cmm.WithEngine(eng.e))
-			if err != nil {
-				return err
-			}
-			nsPerOp, instrsPerOp, err := runThroughput(mach, w.proc, w.args...)
-			if err != nil {
-				return fmt.Errorf("%s/%s: %v", w.name, eng.name, err)
-			}
-			results = append(results, benchResult{
-				Name:            w.name,
-				Engine:          eng.name,
-				NsPerOp:         nsPerOp,
-				SimInstrsPerOp:  instrsPerOp,
-				SimInstrsPerSec: float64(instrsPerOp) / (nsPerOp / 1e9),
-			})
-		}
-	}
-	enc := json.NewEncoder(out)
-	enc.SetIndent("", "  ")
-	return enc.Encode(map[string]any{"benchmarks": results})
 }
 
 // throughputArgs replaces a workload's checked-in arguments for the
@@ -548,7 +494,7 @@ var throughputArgs = map[string][]uint64{
 
 // engineRow is one workload of the -engines JSON report: host
 // throughput of each engine on identical simulated work, plus the
-// native-tier speedup over the fast engine and its kernel coverage
+// native-tier speedup over the reference stepper and its kernel coverage
 // (the share of retired instructions charged by distilled closed-form
 // kernels rather than executed one chain at a time — deterministic,
 // from the engine telemetry of a single run).
@@ -558,7 +504,7 @@ type engineRow struct {
 	SimInstrsPerOp    int64              `json:"sim_instrs_per_op"`
 	NsPerOp           map[string]float64 `json:"ns_per_op"`
 	SimInstrsPerSec   map[string]float64 `json:"sim_instrs_per_sec"`
-	NativeVsFast      float64            `json:"native_vs_fast"`
+	NativeVsRef       float64            `json:"native_vs_ref"`
 	KernelInstrsPerOp int64              `json:"kernel_instrs_per_op"`
 	KernelHitPct      float64            `json:"kernel_hit_pct"`
 }
@@ -566,10 +512,10 @@ type engineRow struct {
 var engineOrder = []struct {
 	name string
 	e    cmm.Engine
-}{{"ref", cmm.EngineRef}, {"fast", cmm.EngineFast}, {"native", cmm.EngineNative}}
+}{{"ref", cmm.EngineRef}, {"native", cmm.EngineNative}}
 
-// measureEngines times one workload on every engine, checking that the
-// engines retire identical simulated instruction counts and agree on
+// measureEngines times one workload on both engines, checking that they
+// retire identical simulated instruction counts and agree on
 // the first result word (the throughput run doubles as a parity check).
 func measureEngines(w paper.CycleWorkload) (engineRow, error) {
 	row := engineRow{
@@ -639,7 +585,7 @@ func measureEngines(w paper.CycleWorkload) (engineRow, error) {
 			}
 		}
 	}
-	row.NativeVsFast = row.SimInstrsPerSec["native"] / row.SimInstrsPerSec["fast"]
+	row.NativeVsRef = row.SimInstrsPerSec["native"] / row.SimInstrsPerSec["ref"]
 	return row, nil
 }
 
@@ -658,23 +604,22 @@ func measureAllEngines() ([]engineRow, error) {
 func printEnginesTable(out *os.File, rows []engineRow) {
 	fmt.Fprintln(out, "## Execution engines — simulated instructions retired per host second")
 	fmt.Fprintln(out)
-	fmt.Fprintln(out, "| workload | sim instrs/op | kernel hit | ref | fast | native | native/fast |")
-	fmt.Fprintln(out, "|---|---|---|---|---|---|---|")
+	fmt.Fprintln(out, "| workload | sim instrs/op | kernel hit | ref | native | native/ref |")
+	fmt.Fprintln(out, "|---|---|---|---|---|---|")
 	for _, r := range rows {
-		fmt.Fprintf(out, "| %s | %d | %.0f%% | %.0fM | %.0fM | %.0fM | %.1f× |\n",
+		fmt.Fprintf(out, "| %s | %d | %.0f%% | %.0fM | %.0fM | %.1f× |\n",
 			r.Name, r.SimInstrsPerOp, r.KernelHitPct,
-			r.SimInstrsPerSec["ref"]/1e6, r.SimInstrsPerSec["fast"]/1e6,
-			r.SimInstrsPerSec["native"]/1e6, r.NativeVsFast)
+			r.SimInstrsPerSec["ref"]/1e6, r.SimInstrsPerSec["native"]/1e6, r.NativeVsRef)
 	}
 	fmt.Fprintln(out)
-	fmt.Fprintln(out, "Each engine retires the identical simulated instruction stream (the")
+	fmt.Fprintln(out, "Both engines retire the identical simulated instruction stream (the")
 	fmt.Fprintln(out, "run asserts it); only host time differs. The kernel-hit column is the")
 	fmt.Fprintln(out, "share of retired instructions the native tier charged in closed form")
 	fmt.Fprintln(out, "(deterministic telemetry); its distilled kernels dominate on the")
 	fmt.Fprintln(out, "figure1 stack-shape workloads.")
 }
 
-var allEngineNames = []string{"ref", "fast", "native"}
+var allEngineNames = []string{"ref", "native"}
 
 func writeEngines(out *os.File) error {
 	rows, err := measureAllEngines()

@@ -114,9 +114,11 @@ func (h hostInfo) String() string {
 	return fmt.Sprintf("%s/%s %dcpu %s", h.GOOS, h.GOARCH, h.CPUs, h.GoVersion)
 }
 
-// rawReport is the union of every JSON shape cmmbench has ever written:
-// v1 {"olevels":...}, v1 {"engines":...}, v1 {"benchmarks":...}, and
-// the v2 envelope that may combine them. Absent sections stay nil.
+// rawReport is the union of every JSON shape the checked-in BENCH_*.json
+// files use: v1 {"olevels":...}, v1 {"engines":...}, and the v2
+// envelope that may combine them. Absent sections stay nil. Engines
+// rows keep every engine's column, including the "fast" column of
+// reports written before that engine was removed.
 type rawReport struct {
 	SchemaVersion int       `json:"schema_version"`
 	Host          *hostInfo `json:"host"`
@@ -132,11 +134,6 @@ type rawReport struct {
 		SimInstrsPerSec map[string]float64 `json:"sim_instrs_per_sec"`
 		KernelHitPct    float64            `json:"kernel_hit_pct"`
 	} `json:"engines"`
-	Benchmarks []struct {
-		Name            string  `json:"name"`
-		Engine          string  `json:"engine"`
-		SimInstrsPerSec float64 `json:"sim_instrs_per_sec"`
-	} `json:"benchmarks"`
 	Stacks []struct {
 		Workload     string `json:"workload"`
 		Policy       string `json:"policy"`
@@ -205,8 +202,8 @@ func parseReport(name string, data []byte) (benchReport, error) {
 	if r.Schema == 0 {
 		r.Schema = 1
 	}
-	if raw.OLevels == nil && raw.Engines == nil && raw.Benchmarks == nil && raw.Stacks == nil && raw.Sched == nil {
-		return r, fmt.Errorf("%s: no olevels, engines, benchmarks, stacks, or sched section", name)
+	if raw.OLevels == nil && raw.Engines == nil && raw.Stacks == nil && raw.Sched == nil {
+		return r, fmt.Errorf("%s: no olevels, engines, stacks, or sched section", name)
 	}
 	for _, o := range raw.OLevels {
 		r.Cycles[o.Name] = o.O2Cycles
@@ -218,13 +215,6 @@ func parseReport(name string, data []byte) (benchReport, error) {
 		if r.Schema >= 2 {
 			r.HitPct[e.Name] = e.KernelHitPct
 			r.HaveHit = true
-		}
-	}
-	// -bench rows are per (workload, engine); keep only the native rows
-	// (or fast if that's all the old file measured) under a plain name.
-	for _, b := range raw.Benchmarks {
-		if b.Engine == "native" || (b.Engine == "fast" && r.Thru[b.Name] == 0) {
-			r.Thru[b.Name] = b.SimInstrsPerSec
 		}
 	}
 	for _, s := range raw.Stacks {

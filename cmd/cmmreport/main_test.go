@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -21,12 +22,6 @@ const v1Engines = `{
   "engines": [
     {"name": "figure1_sp3", "sim_instrs_per_op": 75002,
      "sim_instrs_per_sec": {"ref": 1e8, "fast": 2e8, "native": 5e9}}
-  ]
-}`
-
-const v1Bench = `{
-  "benchmarks": [
-    {"name": "fig34-normal-returns", "engine": "fast", "sim_instrs_per_sec": 2.5e8}
   ]
 }`
 
@@ -78,11 +73,6 @@ func TestParseAllSchemas(t *testing.T) {
 		t.Error("v1 engines file must not report kernel-hit data")
 	}
 
-	r = mustParse(t, "pr3", v1Bench)
-	if r.Thru["fig34-normal-returns"] != 2.5e8 {
-		t.Errorf("v1 bench fast-only throughput = %g, want 2.5e8", r.Thru["fig34-normal-returns"])
-	}
-
 	r = mustParse(t, "pr8", v2Report(299, 5e9, 8))
 	if r.Schema != 2 || r.Host == nil || r.Host.CPUs != 8 {
 		t.Errorf("v2 parse: schema=%d host=%+v", r.Schema, r.Host)
@@ -93,6 +83,39 @@ func TestParseAllSchemas(t *testing.T) {
 
 	if _, err := parseReport("empty", []byte(`{}`)); err == nil {
 		t.Error("a file with no recognized section must be rejected")
+	}
+}
+
+// TestHistoricalFastColumns loads the checked-in reports written while
+// the threaded-code "fast" engine still existed (v1 BENCH_pr6.json and
+// v2 BENCH_pr8.json): both must still parse, trend their native
+// throughput, and keep the fast column in every engines row.
+func TestHistoricalFastColumns(t *testing.T) {
+	for _, name := range []string{"BENCH_pr6.json", "BENCH_pr8.json"} {
+		path := filepath.Join("..", "..", name)
+		r, err := loadReport(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Thru["figure1_sp1"] <= 0 {
+			t.Errorf("%s: no native throughput for figure1_sp1: %v", name, r.Thru)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var raw rawReport
+		if err := json.Unmarshal(data, &raw); err != nil {
+			t.Fatal(err)
+		}
+		if len(raw.Engines) == 0 {
+			t.Fatalf("%s: no engines rows", name)
+		}
+		for _, e := range raw.Engines {
+			if e.SimInstrsPerSec["fast"] <= 0 {
+				t.Errorf("%s/%s: fast column missing: %v", name, e.Name, e.SimInstrsPerSec)
+			}
+		}
 	}
 }
 

@@ -1,10 +1,10 @@
 // Command cmmrun executes a C-- source file. By default it runs the
 // abstract machine of the paper's operational semantics (§5), where
 // programs that "go wrong" report exactly which rule could not fire;
-// with -engine=fast, -engine=ref, or -engine=native it compiles the
-// program and runs it on the simulated target machine instead (the
-// threaded-code engine, the reference stepper, or the host-native
-// closure-chain tier — simulated costs are identical under all three).
+// with -engine=native or -engine=ref it compiles the program and runs it
+// on the simulated target machine instead (the host-native closure-chain
+// tier, or the reference stepper that specifies it — simulated costs are
+// identical under both).
 //
 // Usage:
 //
@@ -13,12 +13,12 @@
 // Examples:
 //
 //	cmmrun -run sp3 -args 10 figure1.cmm
-//	cmmrun -engine=fast -stats -run sp3 -args 10 figure1.cmm
-//	cmmrun -engine=fast -stats=json -run sp3 -args 10 figure1.cmm
+//	cmmrun -engine=native -stats -run sp3 -args 10 figure1.cmm
+//	cmmrun -engine=native -stats=json -run sp3 -args 10 figure1.cmm
 //	cmmrun -engine=native -explain -telemetry -run sp3 -args 10 figure1.cmm
-//	cmmrun -engine=fast -trace=run.json -metrics=m.json -profile=p.folded \
+//	cmmrun -engine=native -trace=run.json -metrics=m.json -profile=p.folded \
 //	    -dispatcher=unwind -run main raise.cmm
-//	cmmrun -engine=fast -cpuprofile cpu.out -run f -args 1000 fig34.cmm
+//	cmmrun -engine=native -cpuprofile cpu.out -run f -args 1000 fig34.cmm
 //
 // Observability: -trace writes the event stream (Chrome Trace Event
 // JSON by default — load it in chrome://tracing or Perfetto — or a
@@ -85,7 +85,7 @@ var (
 	optLevel    = flag.Int("O", 0, "optimization level: 0 baseline, 1 scalar+frame optimizations, 2 adds interprocedural pruning and return peepholes")
 	steps       = flag.Bool("steps", false, "print the number of machine transitions (interp engine)")
 	dispatcher  = flag.String("dispatcher", "", "front-end runtime: unwind, exnstack:<global>, or register:<global>")
-	engine      = flag.String("engine", "interp", "execution engine: interp (§5 semantics), fast (threaded code), ref (reference stepper), or native (compiled closure chains)")
+	engine      = flag.String("engine", "interp", "execution engine: interp (§5 semantics), ref (reference stepper), or native (compiled closure chains)")
 	stats       statsValue
 	traceOut    = flag.String("trace", "", "write an execution trace to this file")
 	traceFormat = flag.String("trace-format", "chrome", "trace format: chrome (Trace Event JSON) or text")
@@ -95,13 +95,13 @@ var (
 	memprofile  = flag.String("memprofile", "", "write a heap profile after the run to this file")
 	vet         = flag.Bool("vet", false, "run the §4 well-formedness verifier before running; verifier errors fail the load (see VERIFIER.md)")
 	explain     = flag.Bool("explain", false, "print the native distiller's kernel report before running: which candidate cycles matched a closed-form kernel, and the precise rejection reason for the rest")
-	telemetry   = flag.Bool("telemetry", false, "print engine-introspection counters after the run (kernel entries/iters, deopt buckets, dispatches, fusion hits; machine engines only)")
+	telemetry   = flag.Bool("telemetry", false, "print engine-introspection counters after the run (kernel entries/iters, deopt buckets, chain dispatches; ref/native engines only, all zero under ref)")
 	stackPolicy = flag.String("stack", "", "activation-stack policy: contig, seg, copy, or hybrid (machine engines only); prints the policy's ledger after the run and adds the stack section to -metrics")
 	contMode    = flag.String("cont", "", "continuation reuse contract: oneshot or multishot (machine engines only; violations trap deterministically)")
 )
 
 func main() {
-	flag.Var(&stats, "stats", "print simulated cost counters (fast/ref engines); -stats=json for machine-readable output")
+	flag.Var(&stats, "stats", "print counters after the run: simulated costs under ref/native, transitions under interp; -stats=json for machine-readable output")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: cmmrun [flags] file.cmm")
@@ -152,7 +152,7 @@ func main() {
 	}
 	if *stackPolicy != "" {
 		if *engine == "interp" {
-			fatal("flags", fmt.Errorf("-stack needs a machine engine (fast, ref, or native); the §5 abstract machine has no activation-stack representation"))
+			fatal("flags", fmt.Errorf("-stack needs a machine engine (ref or native); the §5 abstract machine has no activation-stack representation"))
 		}
 		k, err := cmm.ParseStackPolicy(*stackPolicy)
 		if err != nil {
@@ -162,7 +162,7 @@ func main() {
 	}
 	if *contMode != "" {
 		if *engine == "interp" {
-			fatal("flags", fmt.Errorf("-cont needs a machine engine (fast, ref, or native)"))
+			fatal("flags", fmt.Errorf("-cont needs a machine engine (ref or native)"))
 		}
 		mode, err := cmm.ParseContMode(*contMode)
 		if err != nil {
@@ -221,12 +221,9 @@ func main() {
 		if stats.set {
 			printInterpStats(in)
 		}
-	case "fast", "ref", "native":
-		switch *engine {
-		case "ref":
+	case "ref", "native":
+		if *engine == "ref" {
 			opts = append(opts, cmm.WithEngine(cmm.EngineRef))
-		case "native":
-			opts = append(opts, cmm.WithEngine(cmm.EngineNative))
 		}
 		mach, err := mod.Native(cmm.CompileConfig{Opt: *optLevel}, opts...)
 		if err != nil {
@@ -254,7 +251,7 @@ func main() {
 			printStackStats(mach)
 		}
 	default:
-		fatal("flags", badFlag("engine", *engine, "interp", "fast", "ref", "native"))
+		fatal("flags", badFlag("engine", *engine, "interp", "ref", "native"))
 	}
 
 	writeObservations(mod, observer)
@@ -285,10 +282,10 @@ func printMachineStats(mach *cmm.Machine) {
 
 func printTelemetry(mach *cmm.Machine) {
 	t := mach.Telemetry()
-	fmt.Printf("telemetry[%s]: kernel entries: %d iters: %d instrs: %d | deopts cycle-exit: %d trap-edge: %d budget: %d observer: %d stack-policy: %d | dispatches: %d fusion hits: %d\n",
+	fmt.Printf("telemetry[%s]: kernel entries: %d iters: %d instrs: %d | deopts cycle-exit: %d trap-edge: %d budget: %d observer: %d stack-policy: %d | dispatches: %d\n",
 		mach.EngineName(), t.KernelEntries, t.KernelIters, t.KernelInstrs,
 		t.DeoptCycleExit, t.DeoptTrap, t.DeoptBudget, t.DeoptObserver, t.DeoptPolicy,
-		t.ChainDispatches, t.FusionHits)
+		t.ChainDispatches)
 }
 
 func printStackStats(mach *cmm.Machine) {

@@ -46,14 +46,14 @@ func TestCmmrunTool(t *testing.T) {
 }
 
 // TestCmmrunEngineFlag: -engine=native runs the compiled-closure tier
-// with counters identical to the fast engine, and a bad engine name
-// fails with a message listing every valid engine.
+// with counters identical to the reference engine, and a bad engine
+// name fails with a message listing every valid engine.
 func TestCmmrunEngineFlag(t *testing.T) {
 	if testing.Short() {
 		t.Skip("tool smoke tests build binaries")
 	}
 	var stats [2]string
-	for i, engine := range []string{"fast", "native"} {
+	for i, engine := range []string{"ref", "native"} {
 		out := runTool(t, "./cmd/cmmrun", "-engine="+engine, "-run", "sp1", "-args", "10", "-stats=json", "testdata/figure1.cmm")
 		if !strings.Contains(out, "sp1([10]) = [55 3628800") {
 			t.Errorf("-engine=%s output: %s", engine, out)
@@ -64,11 +64,11 @@ func TestCmmrunEngineFlag(t *testing.T) {
 		stats[i] = strings.Replace(line, `"engine":"`+engine+`"`, `"engine":"?"`, 1)
 	}
 	if stats[0] != stats[1] {
-		t.Errorf("fast/native counter mismatch:\nfast:   %s\nnative: %s", stats[0], stats[1])
+		t.Errorf("ref/native counter mismatch:\nref:    %s\nnative: %s", stats[0], stats[1])
 	}
 
 	out := runToolFail(t, "./cmd/cmmrun", "-engine=turbo", "-run", "sp1", "testdata/figure1.cmm")
-	for _, name := range []string{"interp", "fast", "ref", "native"} {
+	for _, name := range []string{"interp", "ref", "native"} {
 		if !strings.Contains(out, name) {
 			t.Errorf("bad-engine error does not list %q: %s", name, out)
 		}
@@ -81,7 +81,7 @@ func TestCmmrunStatsJSON(t *testing.T) {
 	if testing.Short() {
 		t.Skip("tool smoke tests build binaries")
 	}
-	out := runTool(t, "./cmd/cmmrun", "-engine=fast", "-run", "sp3", "-args", "10", "-stats=json", "testdata/figure1.cmm")
+	out := runTool(t, "./cmd/cmmrun", "-engine=native", "-run", "sp3", "-args", "10", "-stats=json", "testdata/figure1.cmm")
 	line := out[strings.Index(out, "{"):]
 	var stats map[string]any
 	if err := json.Unmarshal([]byte(strings.TrimSpace(line)), &stats); err != nil {
@@ -105,7 +105,7 @@ func TestCmmrunObservability(t *testing.T) {
 	trace := filepath.Join(dir, "trace.json")
 	metrics := filepath.Join(dir, "metrics.json")
 	profile := filepath.Join(dir, "profile.folded")
-	runTool(t, "./cmd/cmmrun", "-engine=fast", "-run", "sp3", "-args", "10",
+	runTool(t, "./cmd/cmmrun", "-engine=native", "-run", "sp3", "-args", "10",
 		"-trace", trace, "-metrics", metrics, "-profile", profile,
 		"testdata/figure1.cmm")
 
@@ -155,7 +155,7 @@ func TestCmmrunObservability(t *testing.T) {
 	}
 
 	// Text format renders one line per event.
-	runTool(t, "./cmd/cmmrun", "-engine=fast", "-run", "sp3", "-args", "10",
+	runTool(t, "./cmd/cmmrun", "-engine=native", "-run", "sp3", "-args", "10",
 		"-trace", trace, "-trace-format", "text", "testdata/figure1.cmm")
 	raw, err = os.ReadFile(trace)
 	if err != nil {

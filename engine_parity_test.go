@@ -1,9 +1,9 @@
 // Engine parity over the paper's own benchmark programs: the acceptance
-// criterion for the fast and native engines is that every simulated
-// figure — cycles/op, instrs/op, memory traffic — is bit-identical to
-// the reference engine, so engine choice can never perturb the paper's
+// criterion for the native engine is that every simulated figure —
+// cycles/op, instrs/op, memory traffic — is bit-identical to the
+// reference engine, so engine choice can never perturb the paper's
 // numbers. Each case below is a benchmark source from bench_test.go run
-// on all engines with identical inputs.
+// on both engines with identical inputs.
 package cmm_test
 
 import (
@@ -70,25 +70,19 @@ func TestBenchFiguresEngineParity(t *testing.T) {
 		{"Div_Solid", divSrc, cmm.CompileConfig{}, nil, "solid", []uint64{200, 3}},
 		{"Opt_None", optSrc, cmm.CompileConfig{}, nil, "f", []uint64{100}},
 	}
-	batched := []struct {
-		name string
-		e    cmm.Engine
-	}{{"fast", cmm.EngineFast}, {"native", cmm.EngineNative}}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			refRes, refStats := runEngineCase(t, tc.src, tc.cc, cmm.EngineRef, tc.disp, tc.proc, tc.args...)
-			for _, be := range batched {
-				gotRes, gotStats := runEngineCase(t, tc.src, tc.cc, be.e, tc.disp, tc.proc, tc.args...)
-				for i := range refRes {
-					for j := range refRes[i] {
-						if refRes[i][j] != gotRes[i][j] {
-							t.Fatalf("iter %d result %d: ref %d %s %d", i, j, refRes[i][j], be.name, gotRes[i][j])
-						}
+			gotRes, gotStats := runEngineCase(t, tc.src, tc.cc, cmm.EngineNative, tc.disp, tc.proc, tc.args...)
+			for i := range refRes {
+				for j := range refRes[i] {
+					if refRes[i][j] != gotRes[i][j] {
+						t.Fatalf("iter %d result %d: ref %d native %d", i, j, refRes[i][j], gotRes[i][j])
 					}
 				}
-				if refStats != gotStats {
-					t.Errorf("counter mismatch:\nref:    %+v\n%s: %+v", refStats, be.name, gotStats)
-				}
+			}
+			if refStats != gotStats {
+				t.Errorf("counter mismatch:\nref:    %+v\nnative: %+v", refStats, gotStats)
 			}
 		})
 	}
@@ -116,14 +110,12 @@ func TestGameEngineParity(t *testing.T) {
 					return status, value, r.Stats()
 				}
 				rs, rv, rst := run(cmm.EngineRef)
-				for _, e := range []cmm.Engine{cmm.EngineFast, cmm.EngineNative} {
-					gs, gv, gst := run(e)
-					if rs != gs || rv != gv {
-						t.Errorf("result mismatch: ref (%d,%d) engine %v (%d,%d)", rs, rv, e, gs, gv)
-					}
-					if rst != gst {
-						t.Errorf("counter mismatch:\nref:      %+v\nengine %v: %+v", rst, e, gst)
-					}
+				gs, gv, gst := run(cmm.EngineNative)
+				if rs != gs || rv != gv {
+					t.Errorf("result mismatch: ref (%d,%d) native (%d,%d)", rs, rv, gs, gv)
+				}
+				if rst != gst {
+					t.Errorf("counter mismatch:\nref:    %+v\nnative: %+v", rst, gst)
 				}
 			})
 		}

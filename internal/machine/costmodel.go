@@ -1,17 +1,14 @@
-// The shared cost model: one implementation of the simulated-counter
-// bookkeeping consumed by all engines.
+// The shared cost model: the native engine's simulated-counter
+// bookkeeping, kept in one place.
 //
 // The reference engine charges counters one instruction at a time
-// (machine.go). The fast engine batches them in chunk-local accumulators
-// flushed at loop exits (fast.go). The native engine goes further and
-// pre-computes, once at compile time, the aggregate counter delta of
-// every straight-line run, paying a single add per run at execution time
-// (native.go). All three must leave bit-identical Counters, so the
-// arithmetic lives here, in one place:
+// (machine.go). The native engine pre-computes, once at compile time,
+// the aggregate counter delta of every straight-line run, paying a
+// single add per run at execution time (native.go). Both must leave
+// bit-identical Counters, so the arithmetic lives here:
 //
 //   - instrDelta resolves one instruction's counter contribution from
-//     the cost model (the single source of per-op costs; the fast
-//     engine's decoder uses it too),
+//     the cost model (the single source of per-op costs),
 //   - suffixAggregates folds deltas backward over straight-line runs,
 //     giving each pc the total delta from it through its run's
 //     terminator — what the native engine adds on run entry, and what it
@@ -19,12 +16,12 @@
 //     mid-run trap,
 //   - chunkAcct is the batched-counter state itself: begin/flush/ts
 //     define what partial counters are visible at yield points, foreign
-//     calls, and traps, identically for the fast and native engines.
+//     calls, and traps, identically to the reference engine.
 package machine
 
 // costDelta is the counter contribution of one instruction, or the sum
-// over a straight-line run. Yields are absent deliberately: both batched
-// engines fully flush before touching Stats.Yields, so the yield counter
+// over a straight-line run. Yields are absent deliberately: the native
+// engine fully flushes before touching Stats.Yields, so the yield counter
 // never rides in chunk-local state.
 type costDelta struct {
 	cyc      int64
@@ -49,7 +46,7 @@ func (d costDelta) plus(o costDelta) costDelta {
 // instrDelta is the counter delta a successfully executed instruction
 // contributes under cost model c. A trapping instruction contributes
 // only instrs (both engines count the fetch, then charge nothing) — the
-// batched engines reconstruct that case by subtracting the full delta
+// native engine reconstructs that case by subtracting the full delta
 // and re-adding the bare instruction count.
 //
 // OpForeign's delta is the opcode's own Cost.Foreign; callForeign
@@ -121,10 +118,10 @@ func suffixAggregates(code []Instr, c Costs) []costDelta {
 	return agg
 }
 
-// chunkAcct batches counter updates between flush points. Both batched
-// engines keep one per execution loop: begin captures the flushed
-// Stats, the loop accumulates into the chunk-local fields, and flush
-// publishes them back. Event timestamps use ts(), which equals the
+// chunkAcct batches counter updates between flush points. The native
+// trampoline keeps one per run: begin captures the flushed Stats, the
+// trampoline and kernels accumulate into the chunk-local fields, and
+// flush publishes them back. Event timestamps use ts(), which equals the
 // Stats.Cycles value a flush would publish — this is the invariant that
 // makes event streams engine-identical (the reference engine stamps
 // events with the always-flushed Stats directly).
@@ -138,7 +135,6 @@ type chunkAcct struct {
 	branches int64
 	calls    int64
 	cycBase  int64 // Stats.Cycles at begin
-	fused    int64 // superinstruction executions since begin (telemetry, not cost)
 }
 
 // begin captures the machine's flushed counter state. The machine must
@@ -147,8 +143,8 @@ type chunkAcct struct {
 func (a *chunkAcct) begin(m *Machine) {
 	edge := m.sliceEdge
 	if edge <= 0 {
-		// An engine loop entered without Run's bookkeeping (tests drive
-		// fastChunk directly): no slice edge is armed.
+		// Entered without Run's bookkeeping (unit tests drive a
+		// chunkAcct directly): no slice edge is armed.
 		edge = int64(^uint64(0) >> 1)
 	}
 	*a = chunkAcct{
@@ -194,8 +190,8 @@ func (a *chunkAcct) add(d *costDelta) {
 // unwind reverses an add for a run that trapped at the instruction
 // whose suffix aggregate is d: everything from the trap point on is
 // un-charged, and the trapping instruction itself counts exactly one
-// instruction (the fetch) — the same partial state the per-instruction
-// engines leave behind.
+// instruction (the fetch) — the same partial state the reference
+// stepper leaves behind.
 func (a *chunkAcct) unwind(d *costDelta) {
 	a.total -= d.instrs - 1
 	a.cycles -= d.cyc
@@ -206,9 +202,8 @@ func (a *chunkAcct) unwind(d *costDelta) {
 }
 
 // flush publishes the chunk-local counters back to the machine and
-// records the resume pc, exactly like the fast engine's historical
-// fastFlush. After a flush, begin must be called before accumulating
-// again.
+// records the resume pc. After a flush, begin must be called before
+// accumulating again.
 func (a *chunkAcct) flush(m *Machine, pc int) {
 	m.PC = pc
 	m.Stats.Cycles = a.cycBase + a.cycles
@@ -217,6 +212,4 @@ func (a *chunkAcct) flush(m *Machine, pc int) {
 	m.Stats.Stores += a.stores
 	m.Stats.Branches += a.branches
 	m.Stats.Calls += a.calls
-	m.Telem.FusionHits += a.fused
-	a.fused = 0
 }

@@ -3,7 +3,7 @@ package machine
 import "testing"
 
 // The cost-model unit suite: the shared counter arithmetic in
-// costmodel.go is what keeps three engines bit-identical, so its pieces
+// costmodel.go is what keeps the engines bit-identical, so its pieces
 // are pinned directly — per-op deltas, suffix aggregation, the
 // add/unwind inverse, and the flush-boundary visibility contract at
 // yield points.
@@ -93,11 +93,11 @@ func TestChunkAcctUnwindInverts(t *testing.T) {
 	}
 }
 
-// TestYieldFlushVisibility is the flush-boundary contract shared by all
+// TestYieldFlushVisibility is the flush-boundary contract shared by both
 // engines: at the instant the yield handler runs, Stats must be FULLY
 // flushed — every instruction up to and including the yield charged,
 // the yield counted, and PC at the resume point — even though the
-// batched engines hold counters in chunk-local state between yields.
+// native engine holds counters in chunk-local state between yields.
 func TestYieldFlushVisibility(t *testing.T) {
 	code := []Instr{
 		{Op: OpLI, Rd: RT0, Imm: 5},

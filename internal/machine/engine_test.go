@@ -3,9 +3,11 @@ package machine
 import (
 	"bytes"
 	"testing"
+
+	"cmm/internal/obs"
 )
 
-// loopProgram sums 1..n with a fused compare-and-branch loop.
+// loopProgram sums 1..n with a compare-and-branch loop.
 func loopProgram(n int64) []Instr {
 	return []Instr{
 		{Op: OpLI, Rd: RT0, Imm: n},
@@ -18,14 +20,15 @@ func loopProgram(n int64) []Instr {
 	}
 }
 
-// allEngines is every execution engine, reference first.
-var allEngines = map[string]Engine{"ref": EngineRef, "fast": EngineFast, "native": EngineNative}
+// allEngines is every execution engine: the reference stepper (the
+// specification) and the native tier.
+var allEngines = map[string]Engine{"ref": EngineRef, "native": EngineNative}
 
-// runBoth executes the same code on all three engines from a fresh
-// machine and compares the complete visible state against the reference
-// engine: error, registers, memory, PC, and every counter. (The name
-// predates the native tier; it returns the ref and fast machines.)
-func runBoth(t *testing.T, code []Instr, setup func(m *Machine)) (*Machine, *Machine) {
+// runBoth executes the same code on both engines from a fresh machine
+// and compares the complete visible state of the native run against the
+// reference run: error, registers, memory, PC, and every counter. It
+// returns the reference machine.
+func runBoth(t *testing.T, code []Instr, setup func(m *Machine)) *Machine {
 	t.Helper()
 	mk := func(e Engine) (*Machine, error) {
 		m := New(1 << 12)
@@ -37,60 +40,54 @@ func runBoth(t *testing.T, code []Instr, setup func(m *Machine)) (*Machine, *Mac
 		return m, m.Run()
 	}
 	ref, errRef := mk(EngineRef)
-	var fast *Machine
-	for _, name := range []string{"fast", "native"} {
-		m, err := mk(allEngines[name])
-		if name == "fast" {
-			fast = m
-		}
-		if (errRef == nil) != (err == nil) {
-			t.Fatalf("engines disagree on failure: ref=%v %s=%v", errRef, name, err)
-		}
-		if errRef != nil && errRef.Error() != err.Error() {
-			t.Errorf("trap mismatch:\nref: %v\n%s: %v", errRef, name, err)
-		}
-		if ref.Regs != m.Regs {
-			t.Errorf("%s register mismatch:\nref: %v\n%s: %v", name, ref.Regs, name, m.Regs)
-		}
-		if ref.Stats != m.Stats {
-			t.Errorf("%s counter mismatch:\nref: %+v\n%s: %+v", name, ref.Stats, name, m.Stats)
-		}
-		if ref.PC != m.PC {
-			t.Errorf("pc mismatch: ref %d %s %d", ref.PC, name, m.PC)
-		}
-		if !bytes.Equal(ref.Mem, m.Mem) {
-			t.Errorf("%s memory mismatch", name)
-		}
+	m, err := mk(EngineNative)
+	if (errRef == nil) != (err == nil) {
+		t.Fatalf("engines disagree on failure: ref=%v native=%v", errRef, err)
 	}
-	return ref, fast
+	if errRef != nil && errRef.Error() != err.Error() {
+		t.Errorf("trap mismatch:\nref: %v\nnative: %v", errRef, err)
+	}
+	if ref.Regs != m.Regs {
+		t.Errorf("native register mismatch:\nref: %v\nnative: %v", ref.Regs, m.Regs)
+	}
+	if ref.Stats != m.Stats {
+		t.Errorf("native counter mismatch:\nref: %+v\nnative: %+v", ref.Stats, m.Stats)
+	}
+	if ref.PC != m.PC {
+		t.Errorf("pc mismatch: ref %d native %d", ref.PC, m.PC)
+	}
+	if !bytes.Equal(ref.Mem, m.Mem) {
+		t.Errorf("native memory mismatch")
+	}
+	return ref
 }
 
 func TestEngineParityLoop(t *testing.T) {
-	ref, _ := runBoth(t, loopProgram(100), nil)
+	ref := runBoth(t, loopProgram(100), nil)
 	if ref.Regs[RA0] != 5050 {
 		t.Errorf("sum = %d, want 5050", ref.Regs[RA0])
 	}
 }
 
-// TestEngineParityFusedPairs drives every fused superinstruction shape,
-// including a branch that lands in the middle of a fusable pair (the
-// second slot must execute unfused).
+// TestEngineParityFusedPairs drives dense instruction pairs (store/store,
+// load/load, load/ALU, compare/branch), including a branch that lands in
+// the middle of a pair: the closure chains must enter mid-run exactly.
 func TestEngineParityFusedPairs(t *testing.T) {
 	code := []Instr{
 		{Op: OpLI, Rd: RT0, Imm: 0x200},
 		{Op: OpLI, Rd: RT0 + 1, Imm: 0x1122334455667788},
 		{Op: OpLI, Rd: RT0 + 2, Imm: 7},
-		// store/store pair (fused).
+		// store/store pair.
 		{Op: OpStore, Rs: RT0, Rt: RT0 + 1, Imm: 0, Size: 8},
 		{Op: OpStore, Rs: RT0, Rt: RT0 + 2, Imm: 8, Size: 4},
-		// load/load pair (fused), second depends on the first.
+		// load/load pair, second depends on the first.
 		{Op: OpLoad, Rd: RT0 + 3, Rs: RT0, Imm: 8, Size: 4},
 		{Op: OpLoad, Rd: RT0 + 4, Rs: RT0, Imm: 0, Size: 8},
-		// load-then-ALU pair (fused).
+		// load-then-ALU pair.
 		{Op: OpLoad, Rd: RT0 + 5, Rs: RT0, Imm: 0, Size: 2},
 		{Op: OpALUI, Sub: AAdd, Rd: RT0 + 5, Rs: RT0 + 5, Imm: 1, Width: 32},
-		// compare-and-branch pair (fused): jump INTO the middle of the
-		// next fusable pair.
+		// compare-and-branch pair: jump INTO the middle of the next
+		// pair.
 		{Op: OpALUI, Sub: AEq, Rd: RX0, Rs: RT0 + 2, Imm: 7, Width: 64},
 		{Op: OpBNZ, Rs: RX0, Target: 12},
 		// Pair whose head is skipped by the branch above: slot 12 must
@@ -104,17 +101,19 @@ func TestEngineParityFusedPairs(t *testing.T) {
 		{Op: OpBZ, Rs: RX0 + 1, Target: 14},
 		{Op: OpHalt},
 	}
-	ref, _ := runBoth(t, code, nil)
+	ref := runBoth(t, code, nil)
 	if ref.Regs[RT0+6] != 1 {
-		t.Errorf("branch into fused pair: t6 = %d, want 1", ref.Regs[RT0+6])
+		t.Errorf("branch into pair: t6 = %d, want 1", ref.Regs[RT0+6])
 	}
 	if ref.Regs[RT0+3] != 7 || ref.Regs[RT0+4] != 0x1122334455667788 || ref.Regs[RT0+5] != 0x7789 {
-		t.Errorf("fused mem state: t3=%#x t4=%#x t5=%#x", ref.Regs[RT0+3], ref.Regs[RT0+4], ref.Regs[RT0+5])
+		t.Errorf("pair mem state: t3=%#x t4=%#x t5=%#x", ref.Regs[RT0+3], ref.Regs[RT0+4], ref.Regs[RT0+5])
 	}
 }
 
-// TestEngineParityFusedTraps checks that a trap in either half of a
-// fused pair leaves identical machine state (counters, PC, message).
+// TestEngineParityFusedTraps checks that a trap in either half of such a
+// pair leaves identical machine state (counters, PC, message): on the
+// native tier these are mid-run traps, whose partial counters the
+// trampoline reconstructs by unwinding the run's suffix aggregate.
 func TestEngineParityFusedTraps(t *testing.T) {
 	cases := map[string][]Instr{
 		"first-store": {
@@ -148,13 +147,13 @@ func TestEngineParityFusedTraps(t *testing.T) {
 }
 
 func TestEngineParityBudgetTrap(t *testing.T) {
-	// An infinite jump has no fused pairs.
 	code := []Instr{{Op: OpJmp, Target: 0}}
 	runBoth(t, code, func(m *Machine) { m.MaxInstrs = 1000 })
 
-	// A fused-pair loop, swept over budgets so the trap lands on every
-	// phase of the pair: the backstop must fire at the identical
-	// instruction (and PC) even mid-superinstruction.
+	// A two-instruction loop, swept over budgets so the trap lands on
+	// every phase of the loop: the native tier hands the run to the
+	// reference stepper at the budget edge, and the backstop must fire
+	// at the identical instruction (and PC).
 	loop := []Instr{
 		{Op: OpALUI, Sub: AAdd, Rd: RT0, Rs: RT0, Imm: 1, Width: 64},
 		{Op: OpBZ, Rs: RZero, Target: 0},
@@ -164,17 +163,61 @@ func TestEngineParityBudgetTrap(t *testing.T) {
 	}
 }
 
-// TestEnginesAllocFree asserts the hot loop of ALL engines allocates
-// nothing: the reference engine after the reg/set closure fix, the fast
-// engine after its one-time decode, the native engine after its
-// one-time compile (the trampoline state is reused across runs).
+// TestBudgetHandoffObservedSliced crosses MaxInstrs with an observer
+// attached and a slice limit armed: the native tier's hand-off to the
+// reference stepper must leave the same trap, PC, counters and event
+// stream as the reference engine, and count as one budget deopt.
+func TestBudgetHandoffObservedSliced(t *testing.T) {
+	// An endless loop calling a leaf procedure: every iteration emits a
+	// call and a return event.
+	code := []Instr{
+		{Op: OpLI, Rd: RT0, Imm: 0},
+		{Op: OpCall, Target: 4},
+		{Op: OpALUI, Sub: AAdd, Rd: RT0, Rs: RT0, Imm: 1, Width: 64},
+		{Op: OpJmp, Target: 1},
+		{Op: OpRetOff, Imm: 0},
+	}
+	run := func(e Engine) (*Machine, int, error) {
+		return runSliced(t, e, code, 300, func(m *Machine) {
+			m.MaxInstrs = 1000
+			m.Obs = obs.New()
+		})
+	}
+	ref, _, errRef := run(EngineRef)
+	m, pauses, err := run(EngineNative)
+	if errRef == nil || err == nil || errRef.Error() != err.Error() {
+		t.Fatalf("budget trap: ref=%v native=%v", errRef, err)
+	}
+	if pauses == 0 {
+		t.Error("native run never paused before the budget trap")
+	}
+	if ref.PC != m.PC || ref.Stats != m.Stats || ref.Regs != m.Regs {
+		t.Errorf("state at trap:\nref:    pc=%d %+v\nnative: pc=%d %+v", ref.PC, ref.Stats, m.PC, m.Stats)
+	}
+	if len(ref.Obs.Trace) == 0 || len(ref.Obs.Trace) != len(m.Obs.Trace) {
+		t.Fatalf("event counts: ref %d, native %d", len(ref.Obs.Trace), len(m.Obs.Trace))
+	}
+	for i := range ref.Obs.Trace {
+		if ref.Obs.Trace[i] != m.Obs.Trace[i] {
+			t.Fatalf("event %d differs\nref:    %+v\nnative: %+v", i, ref.Obs.Trace[i], m.Obs.Trace[i])
+		}
+	}
+	if m.Telem.DeoptBudget != 1 {
+		t.Errorf("DeoptBudget = %d, want 1 (one hand-off): %+v", m.Telem.DeoptBudget, m.Telem)
+	}
+}
+
+// TestEnginesAllocFree asserts the hot loop of both engines allocates
+// nothing: the reference engine after the reg/set closure fix, the
+// native engine after its one-time compile (the trampoline state is
+// reused across runs).
 func TestEnginesAllocFree(t *testing.T) {
 	for name, e := range allEngines {
 		t.Run(name, func(t *testing.T) {
 			m := New(1 << 12)
 			m.Engine = e
 			m.Code = loopProgram(50)
-			if err := m.Run(); err != nil { // warm-up: decode once
+			if err := m.Run(); err != nil { // warm-up: compile once
 				t.Fatal(err)
 			}
 			allocs := testing.AllocsPerRun(20, func() {
@@ -190,22 +233,22 @@ func TestEnginesAllocFree(t *testing.T) {
 	}
 }
 
-func TestInvalidateDecode(t *testing.T) {
+// TestCodeSwapRecompiles: replacing m.Code with a new slice invalidates
+// the cached closure chains, so the next run executes the new program.
+func TestCodeSwapRecompiles(t *testing.T) {
 	m := New(1 << 12)
 	m.Code = loopProgram(3)
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	// In-place mutation requires an explicit invalidate.
-	m.Code[0].Imm = 10
-	m.InvalidateDecode()
+	m.Code = loopProgram(10)
 	m.PC = 0
 	m.Regs = [NumRegs]uint64{}
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if m.Regs[RA0] != 55 {
-		t.Errorf("after invalidate: sum = %d, want 55", m.Regs[RA0])
+		t.Errorf("after code swap: sum = %d, want 55", m.Regs[RA0])
 	}
 }
 
@@ -226,5 +269,4 @@ func benchEngine(b *testing.B, e Engine) {
 }
 
 func BenchmarkStepLoopRef(b *testing.B)    { benchEngine(b, EngineRef) }
-func BenchmarkStepLoopFast(b *testing.B)   { benchEngine(b, EngineFast) }
 func BenchmarkStepLoopNative(b *testing.B) { benchEngine(b, EngineNative) }

@@ -249,15 +249,14 @@ type Counters struct {
 	Yields   int64
 }
 
-// Telemetry is the engine-introspection counter set: how the engines
-// got their work done, as opposed to Counters, which says what the
-// simulated program did. Telemetry is engine-dependent by design — the
-// reference engine leaves it all zero, the fast engine counts
-// superinstruction fusion hits, and the native tier counts kernel
-// activity and deoptimizations — and it is deterministic for a given
-// (program, engine, budget): two identical runs produce identical
-// telemetry. It never feeds back into Stats, so it is cost-neutral by
-// construction.
+// Telemetry is the engine-introspection counter set: how the engine got
+// its work done, as opposed to Counters, which says what the simulated
+// program did. Telemetry is engine-dependent by design — the reference
+// engine leaves it all zero, and the native engine counts kernel
+// activity, deoptimizations and chain dispatches — and it is
+// deterministic for a given (program, engine, budget): two identical
+// runs produce identical telemetry. It never feeds back into Stats, so
+// it is cost-neutral by construction.
 type Telemetry struct {
 	// KernelEntries counts native-tier kernel activations that completed
 	// at least one closed-form iteration.
@@ -270,6 +269,8 @@ type Telemetry struct {
 	// Deopt* bucket every kernel activation's hand-back to the ordinary
 	// closure chains by reason. Exactly one bucket increments per
 	// activation (including activations that ran zero iterations).
+	// DeoptBudget also counts the trampoline's hand-off of a run's tail
+	// to the reference stepper at the instruction-budget edge.
 	DeoptCycleExit int64 // the cycle's own exit condition was reached
 	DeoptTrap      int64 // stopped at a memory bound: a potential trap must run on the chains
 	DeoptBudget    int64 // stopped at the instruction-budget edge
@@ -279,11 +280,6 @@ type Telemetry struct {
 	// ChainDispatches counts native-tier trampoline dispatches (one per
 	// closure-chain entry).
 	ChainDispatches int64
-	// FusionHits counts superinstruction executions on the fast engine
-	// (each replaces two instructions with one dispatch). The native
-	// tier's budget-edge handoff finishes runs on the fast engine, so a
-	// native run may accumulate a few hits near the budget.
-	FusionHits int64
 }
 
 // Engine selects the execution loop used by Run. Both engines implement
@@ -291,18 +287,17 @@ type Telemetry struct {
 type Engine uint8
 
 const (
-	// EngineFast is the threaded-code engine: it pre-decodes the
-	// instruction stream (decode.go), fuses common pairs into
-	// superinstructions, and batches counter updates. The default.
-	EngineFast Engine = iota
-	// EngineRef is the reference engine: one Step() per instruction,
-	// a direct transcription of the instruction semantics.
+	// EngineNative is the production engine and the default: it
+	// compiles the program to chains of Go closures (native.go) — no
+	// decode loop, no opcode switch — charging pre-computed per-run
+	// counter aggregates (costmodel.go) instead of counting per
+	// instruction, with closed-form kernels for hot cycles
+	// (native_opt.go).
+	EngineNative Engine = iota
+	// EngineRef is the reference engine and the specification: one
+	// Step() per instruction, a direct transcription of the instruction
+	// semantics.
 	EngineRef
-	// EngineNative is the host-native tier: it compiles the program to
-	// chains of Go closures (native.go) — no decode loop, no opcode
-	// switch — charging pre-computed per-run counter aggregates
-	// (costmodel.go) instead of counting per instruction.
-	EngineNative
 )
 
 // Machine is the simulated CPU plus memory.
@@ -315,20 +310,19 @@ type Machine struct {
 	Stats Counters
 
 	// Telem accumulates engine-introspection counters (kernel activity,
-	// deopts, dispatch and fusion counts). Unlike Stats it is
-	// engine-dependent; like Stats it accumulates across runs and is
-	// deterministic per engine.
+	// deopts, dispatch counts). Unlike Stats it is engine-dependent;
+	// like Stats it accumulates across runs and is deterministic per
+	// engine.
 	Telem Telemetry
 
-	// Engine selects the Run loop (fast threaded code, reference
-	// stepper, or the native tier). Simulated counters are identical
-	// under all of them.
+	// Engine selects the Run loop (the native tier or the reference
+	// stepper). Simulated counters are identical under both.
 	Engine Engine
 
 	// Obs, when non-nil, receives control-transfer events (calls,
 	// returns, cuts, yields, foreign calls) from every engine. Observers
 	// are passive: counters, registers, and memory are bit-identical with
-	// or without one, and all engines emit identical event streams.
+	// or without one, and both engines emit identical event streams.
 	Obs *obs.Observer
 
 	// Policy, when non-nil, is the activation-stack strategy's shadow
@@ -359,25 +353,18 @@ type Machine struct {
 	// Run again continues the same logical run for another slice: the
 	// divergence backstop, the stack policy's position state, and the
 	// seen-continuation set all persist until the run halts or traps.
-	// The exact pause point is engine-dependent (the batched engines
-	// pause at their own flush granularity: a fused pair or a straight-
-	// line run may overshoot the edge by a few instructions) but
-	// deterministic per engine, and the final machine state of a sliced
-	// run is bit-identical to the same run executed without slicing.
+	// The exact pause point is engine-dependent (the native engine
+	// pauses between straight-line runs, so a run may overshoot the
+	// edge by a few instructions) but deterministic per engine, and the
+	// final machine state of a sliced run is bit-identical to the same
+	// run executed without slicing.
 	SliceLimit int64
 	sliceEdge  int64 // absolute Stats.Instrs pause point (MaxInt64 when off)
 	paused     bool
 
-	// Pre-decoded program for the fast engine, cached per Code slice
-	// (decode.go). Replacing m.Code invalidates it automatically;
-	// mutating instructions in place requires InvalidateDecode.
-	decoded     []fastOp
-	decodedPtr  *Instr
-	decodedLen  int
-	decodedCost Costs
-
-	// Compiled closure chains for the native engine, cached under the
-	// same policy (native.go), plus the reusable trampoline state.
+	// Compiled closure chains for the native engine, cached per Code
+	// slice and cost model (native.go), plus the reusable trampoline
+	// state. Replacing m.Code invalidates the cache automatically.
 	native     *natProg
 	nativePtr  *Instr
 	nativeLen  int
@@ -399,42 +386,29 @@ func New(memSize int) *Machine {
 	return &Machine{Mem: make([]byte, memSize), Cost: DefaultCosts, MaxInstrs: 200_000_000}
 }
 
-// Precompile builds and caches the selected engine's compiled artifacts
-// for the current Code and cost model without executing anything: the
-// pre-decoded threaded code for the fast engine, plus the closure chains
-// for the native tier (which also warms the fast decode, its budget-edge
-// delegate). Run does this lazily; calling it eagerly lets many machines
-// share one compile via ShareArtifacts.
+// Precompile builds and caches the native engine's closure chains for
+// the current Code and cost model without executing anything (the
+// reference engine has nothing to build). Run does this lazily; calling
+// it eagerly lets many machines share one compile via ShareArtifacts.
 func (m *Machine) Precompile() {
-	switch m.Engine {
-	case EngineRef:
-	case EngineNative:
+	if m.Engine == EngineNative {
 		m.ensureNative()
-		m.ensureDecoded()
-	default:
-		m.ensureDecoded()
 	}
 }
 
-// ShareArtifacts adopts src's cached compiled artifacts. Both caches are
-// validated the same way ensureDecoded/ensureNative validate them — the
-// code slice must share src's backing array and the cost models must
-// match — so a stale or mismatched source is simply ignored and m
-// recompiles on demand. The artifacts are immutable during execution
-// (all run state lives in the Machine), so any number of machines may
-// execute one shared copy, including concurrently.
+// ShareArtifacts adopts src's cached closure chains. The cache is
+// validated the same way ensureNative validates it — the code slice
+// must share src's backing array and the cost models must match — so a
+// stale or mismatched source is simply ignored and m recompiles on
+// demand. The chains are immutable during execution (all run state
+// lives in the Machine), so any number of machines may execute one
+// shared copy, including concurrently.
 func (m *Machine) ShareArtifacts(src *Machine) {
 	if src == nil || len(m.Code) == 0 || len(src.Code) == 0 {
 		return
 	}
 	if &m.Code[0] != &src.Code[0] || len(m.Code) != len(src.Code) {
 		return
-	}
-	if src.decoded != nil && src.decodedPtr == &src.Code[0] && src.decodedLen == len(src.Code) && src.decodedCost == m.Cost {
-		m.decoded = src.decoded
-		m.decodedPtr = src.decodedPtr
-		m.decodedLen = src.decodedLen
-		m.decodedCost = src.decodedCost
 	}
 	if src.native != nil && src.nativePtr == &src.Code[0] && src.nativeLen == len(src.Code) && src.nativeCost == m.Cost {
 		m.native = src.native
@@ -487,7 +461,7 @@ var ErrSlicePaused = errors.New("machine paused at slice boundary")
 // (the last Run returned ErrSlicePaused and the run has not resumed).
 func (m *Machine) Paused() bool { return m.paused }
 
-// beginRun is every engine's entry bookkeeping. A fresh run rebases the
+// beginRun is both engines' entry bookkeeping. A fresh run rebases the
 // divergence backstop and resets the per-run policy and continuation-
 // identity state; resuming from a slice pause does neither, because a
 // sliced run is one logical run. Either way the slice edge is re-armed:
@@ -519,13 +493,17 @@ func (m *Machine) pauseSlice() error {
 // argument registers first. The execution loop is chosen by m.Engine;
 // simulated counters are bit-identical either way.
 func (m *Machine) Run() error {
-	switch m.Engine {
-	case EngineFast:
-		return m.RunFast()
-	case EngineNative:
+	if m.Engine == EngineNative {
 		return m.RunNative()
 	}
 	m.beginRun()
+	return m.stepLoop()
+}
+
+// stepLoop is the reference engine: Step until halt, an error, or the
+// slice edge. The native engine also finishes budget-edge runs here, so
+// the divergence backstop fires at exactly the instruction Step counts.
+func (m *Machine) stepLoop() error {
 	for !m.halted {
 		if m.Stats.Instrs >= m.sliceEdge {
 			return m.pauseSlice()
@@ -568,8 +546,8 @@ func signExtend(v uint64, width int) int64 {
 }
 
 // Step executes one instruction. The check order — pc range before the
-// instruction count and budget — matches the batched engines, which
-// cannot charge an instruction they failed to fetch.
+// instruction count and budget — matches the native engine, which
+// cannot charge an instruction it failed to fetch.
 func (m *Machine) Step() error {
 	if m.PC < 0 || m.PC >= len(m.Code) {
 		return m.trapf("pc out of range")
@@ -769,7 +747,7 @@ func (m *Machine) Step() error {
 
 func (m *Machine) callForeign(idx int) error {
 	m.Stats.Cycles += m.Cost.Foreign
-	// Both engines reach here with flushed counters (the fast engine
+	// Both engines reach here with flushed counters (the native engine
 	// flushes before any callout), so the event is engine-identical.
 	if m.Obs != nil {
 		m.Obs.Emit(obs.Event{Kind: obs.KForeign, Ts: m.Stats.Cycles, Instr: m.Stats.Instrs,

@@ -1,12 +1,12 @@
-// The native engine: the program is compiled, once, into chains of Go
-// closures — one closure per instruction, each calling its successor
-// directly — so execution is host-native control flow with no decode
-// loop and no opcode switch. A small trampoline dispatches between
-// straight-line runs: every control transfer (branch, call, return,
-// cut) returns the next pc, and the trampoline enters the chain
-// compiled for it. Any pc is a valid entry — cut-to continuations,
-// alternate returns, and run-time resumption land mid-run, and each
-// instruction's closure heads its own chain suffix.
+// The native engine, the production execution loop: the program is
+// compiled, once, into chains of Go closures — one closure per
+// instruction, each calling its successor directly — so execution is
+// host-native control flow with no decode loop and no opcode switch. A
+// small trampoline dispatches between straight-line runs: every control
+// transfer (branch, call, return, cut) returns the next pc, and the
+// trampoline enters the chain compiled for it. Any pc is a valid entry —
+// cut-to continuations, alternate returns, and run-time resumption land
+// mid-run, and each instruction's closure heads its own chain suffix.
 //
 // Counter accounting is decoupled from execution (costmodel.go): the
 // trampoline charges a whole run's pre-computed aggregate on entry, one
@@ -15,21 +15,22 @@
 //
 //   - a mid-run trap subtracts the trap point's suffix aggregate back
 //     out (chunkAcct.unwind), leaving the same partial counters the
-//     per-instruction engines produce,
+//     reference stepper produces,
 //   - a run that might cross the instruction budget is not entered
 //     natively at all; the trampoline flushes and hands the rest of the
-//     execution to the fast engine, which reproduces the exact
-//     per-instruction trap point,
+//     execution to the reference stepper, which counts per instruction
+//     and so traps at exactly the instruction the spec does,
 //   - callouts (yield, foreign) flush before handing off, so run-time
-//     systems observe the same counters as under the other engines.
+//     systems observe the same counters as under the reference engine.
 //
 // The parity suites assert bit-identical Counters, registers, memory,
-// trap errors, and observability event streams across all three
-// engines.
+// trap errors, and observability event streams against the reference
+// engine (and, for whole programs, the §5 interpreter).
 
 package machine
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"cmm/internal/obs"
@@ -78,8 +79,9 @@ type natProg struct {
 }
 
 // ensureNative (re)compiles the closure chains if m.Code or the cost
-// model changed since the last compile (the same caching policy as the
-// fast engine's pre-decoder).
+// model changed since the last compile. Replacing m.Code with a new
+// slice invalidates the cache; callers that change the program replace
+// the slice rather than mutating its instructions in place.
 func (m *Machine) ensureNative() {
 	if len(m.Code) == 0 {
 		m.native = nil
@@ -140,10 +142,15 @@ func (m *Machine) RunNative() error {
 		a := &p.agg[pc]
 		if st.acct.total+a.instrs > st.acct.limit {
 			// The run from pc may cross the instruction budget. Finish
-			// on the fast engine: per-instruction counting traps at the
-			// exact same instruction as the reference engine.
+			// on the reference stepper: per-instruction counting traps
+			// at exactly the instruction the spec does.
 			st.acct.flush(m, pc)
-			return m.fastLoop()
+			m.Telem.DeoptBudget++
+			if o := m.Obs; o != nil && o.EngineEvents {
+				o.Emit(obs.Event{Kind: obs.KDeopt, Ts: m.Stats.Cycles, Instr: m.Stats.Instrs,
+					PC: int32(pc), SP: m.Regs[RSP], A: obs.DeoptBudget})
+			}
+			return m.stepLoop()
 		}
 		st.acct.add(a)
 		m.Telem.ChainDispatches++
@@ -296,6 +303,68 @@ func compileStraight(i int, in *Instr, next natFn) natFn {
 	}
 }
 
+// loadMem reads size bytes little-endian from mem; ok is false when the
+// access is out of bounds (the caller reports the reference engine's
+// trap).
+func loadMem(mem []byte, addr uint64, size int32) (uint64, bool) {
+	end := addr + uint64(size)
+	if end > uint64(len(mem)) || end < addr {
+		return 0, false
+	}
+	switch size {
+	case 8:
+		return binary.LittleEndian.Uint64(mem[addr:]), true
+	case 4:
+		return uint64(binary.LittleEndian.Uint32(mem[addr:])), true
+	case 2:
+		return uint64(binary.LittleEndian.Uint16(mem[addr:])), true
+	case 1:
+		return uint64(mem[addr]), true
+	}
+	var buf [8]byte
+	copy(buf[:], mem[addr:end])
+	v := binary.LittleEndian.Uint64(buf[:])
+	if size < 8 {
+		v &= 1<<uint(8*size) - 1
+	}
+	return v, true
+}
+
+// storeMem writes size bytes little-endian; ok is false when out of
+// bounds.
+func storeMem(mem []byte, addr, v uint64, size int32) bool {
+	end := addr + uint64(size)
+	if end > uint64(len(mem)) || end < addr {
+		return false
+	}
+	switch size {
+	case 8:
+		binary.LittleEndian.PutUint64(mem[addr:], v)
+	case 4:
+		binary.LittleEndian.PutUint32(mem[addr:], uint32(v))
+	case 2:
+		binary.LittleEndian.PutUint16(mem[addr:], uint16(v))
+	case 1:
+		mem[addr] = byte(v)
+	default:
+		var buf [8]byte
+		binary.LittleEndian.PutUint64(buf[:], v)
+		copy(mem[addr:end], buf[:size])
+	}
+	return true
+}
+
+// fusableALU reports whether an ALU sub-operation can never trap: such
+// ops compile to branch-free closures, and the distiller may fold them
+// into a kernel's closed form.
+func fusableALU(sub ALUOp) bool {
+	switch sub {
+	case ADivU, ADivS, ARemU, ARemS, AF2I:
+		return false
+	}
+	return true
+}
+
 // compileALU specializes the ALU ops. The dominant shapes (add, sub,
 // compares at width 32/64) get dedicated closures; the rest share a
 // generic one. Trapping sub-operations (divides, float-to-int) check
@@ -413,10 +482,9 @@ func compileALU(i int, in *Instr, next natFn) natFn {
 
 // compileTerm builds the closure for a run terminator. Control
 // transfers return the next pc; callouts flush, run the handler, and
-// report natCallout; traps mirror the fast engine's exact counter
-// ordering (see fast.go): a corrupt-ra return or an explicit trap is
-// charged nothing, while a failed indirect call/jump keeps its transfer
-// costs, exactly as the per-instruction engines leave them.
+// report natCallout; traps mirror Step's exact counter ordering: a
+// corrupt-ra return or an explicit trap is charged nothing, while a
+// failed indirect call/jump keeps its transfer costs.
 func compileTerm(pc int, in *Instr) natFn {
 	switch in.Op {
 	case OpBZ:
@@ -462,14 +530,14 @@ func compileTerm(pc int, in *Instr) natFn {
 			if !ok {
 				st.trapPC = pc
 				st.trapErr = &TrapError{PC: pc, Msg: fmt.Sprintf("indirect jump to non-code address %#x", v)}
-				return natTrapDone // transfer costs already charged, like fast
+				return natTrapDone // transfer costs already charged, like Step
 			}
 			if mark == MarkCut {
 				m := st.m
 				if msg := m.cutViolation(idx, st.regs[RSP]); msg != "" {
 					st.trapPC = pc
 					st.trapErr = &TrapError{PC: pc, Msg: msg}
-					return natTrapDone // transfer costs already charged, like fast
+					return natTrapDone // transfer costs already charged, like Step
 				}
 				if p := m.Policy; p != nil {
 					p.OnCut(idx, st.regs[RSP])
@@ -516,7 +584,7 @@ func compileTerm(pc int, in *Instr) natFn {
 			if !ok {
 				st.trapPC = pc
 				st.trapErr = &TrapError{PC: pc, Msg: fmt.Sprintf("indirect call to non-code address %#x", v)}
-				return natTrapDone // transfer costs already charged, like fast
+				return natTrapDone // transfer costs already charged, like Step
 			}
 			if p := st.m.Policy; p != nil {
 				p.OnCall(st.regs[RSP])
@@ -533,8 +601,8 @@ func compileTerm(pc int, in *Instr) natFn {
 			ra := st.regs[RRA]
 			idx, ok := CodeIndex(ra)
 			if !ok {
-				// Charged nothing, like the per-instruction engines:
-				// the unwind drops the Ret cycles and the branch count.
+				// Charged nothing, like Step: the unwind drops the Ret
+				// cycles and the branch count.
 				return st.trapAt(pc, "return with corrupt ra %#x", ra)
 			}
 			next := idx + off

@@ -1,9 +1,9 @@
 // The distiller: fuseChains rewrites the closure-chain entry of a hot
 // cycle with a kernel that executes many iterations per trampoline
-// dispatch. decode.go fuses the dominant instruction *pairs* of the
-// paper figures into superinstructions; this pass goes one level up and
-// fuses whole *cycles* — counted loops and the frame-push/frame-pop
-// phases of the recursive figures — after proving, with a small
+// dispatch. The closure chains already run a straight-line run as
+// nested host calls; this pass goes one level up and fuses whole
+// *cycles* — counted loops and the frame-push/frame-pop phases of the
+// recursive figures — after proving, with a small
 // symbolic evaluator, that the cycle's effect is a closed per-iteration
 // function of its entry state.
 //
@@ -11,7 +11,7 @@
 // Everything else is untouched: entering the cycle mid-body, the exit
 // path, and the iteration that leaves the cycle all still run on the
 // ordinary chains. The accounting protocol keeps counters bit-identical
-// to the other engines:
+// to the reference engine:
 //
 //   - the trampoline has already charged agg[h] when a kernel runs, so
 //     the kernel first subtracts it back out,

@@ -122,7 +122,7 @@ func TestDistillerMatchesCounted(t *testing.T) {
 // exercise zero iterations, the guard exit, and long kernel runs.
 func TestDistillerCountedParity(t *testing.T) {
 	for _, n := range []uint64{0, 1, 2, 10, 10_000} {
-		ref, _ := runBoth(t, countedProgram(), func(m *Machine) {
+		ref := runBoth(t, countedProgram(), func(m *Machine) {
 			m.Regs[RT0] = n
 		})
 		var wantX, wantP uint64 = 0, 1
@@ -134,7 +134,7 @@ func TestDistillerCountedParity(t *testing.T) {
 			t.Errorf("n=%d: x=%d p=%d, want x=%d p=%d", n, ref.Regs[RT0+1], ref.Regs[RT0+2], wantX, wantP)
 		}
 
-		ref, _ = runBoth(t, countedStoreProgram(), func(m *Machine) {
+		ref = runBoth(t, countedStoreProgram(), func(m *Machine) {
 			m.Regs[RT0] = n
 			m.Regs[RS0] = 0x100
 			m.Regs[RS0+1] = 77
@@ -156,7 +156,7 @@ func TestDistillerCountedParity(t *testing.T) {
 // must refuse it) and n=2 (exactly one kernelizable frame).
 func TestDistillerRecursionParity(t *testing.T) {
 	for _, n := range []uint64{1, 2, 3, 10, 100} {
-		ref, _ := runBoth(t, recurseProgram(), func(m *Machine) {
+		ref := runBoth(t, recurseProgram(), func(m *Machine) {
 			m.Regs[RSP] = uint64(len(m.Mem))
 			m.Regs[RRA] = CodeAddr(17)
 			m.Regs[RA0] = n
@@ -188,7 +188,7 @@ func TestDistillerBudgetTrap(t *testing.T) {
 // frame store traps. The push kernel's iteration cap must stop before
 // any out-of-bounds access and let the chains produce the exact trap.
 func TestDistillerStackOverflowTrap(t *testing.T) {
-	ref, _ := runBoth(t, recurseProgram(), func(m *Machine) {
+	ref := runBoth(t, recurseProgram(), func(m *Machine) {
 		m.Regs[RSP] = uint64(len(m.Mem))
 		m.Regs[RRA] = CodeAddr(17)
 		m.Regs[RA0] = 0

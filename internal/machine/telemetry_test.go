@@ -146,8 +146,8 @@ func TestTelemetryDeoptObserver(t *testing.T) {
 	}
 }
 
-// TestTelemetryRefEngineZero: the reference stepper has no kernels,
-// fusion, or chain dispatch, so its telemetry is identically zero.
+// TestTelemetryRefEngineZero: the reference stepper has no kernels or
+// chain dispatch, so its telemetry is identically zero.
 func TestTelemetryRefEngineZero(t *testing.T) {
 	for _, code := range [][]Instr{countedProgram(), recurseProgram()} {
 		m := New(1 << 12)
@@ -163,23 +163,6 @@ func TestTelemetryRefEngineZero(t *testing.T) {
 		if m.Telem != (Telemetry{}) {
 			t.Errorf("ref engine telemetry not zero: %+v", m.Telem)
 		}
-	}
-}
-
-// TestTelemetryFastFusion pins the fast engine's superinstruction
-// counter on the counted loop, whose compare+branch guard fuses: one
-// hit per guard evaluation.
-func TestTelemetryFastFusion(t *testing.T) {
-	m := New(1 << 12)
-	m.Engine = EngineFast
-	m.Code = countedProgram()
-	m.Regs[RT0] = 10
-	if err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
-	want := Telemetry{FusionHits: 11}
-	if m.Telem != want {
-		t.Errorf("fast counted n=10 telemetry:\ngot  %+v\nwant %+v", m.Telem, want)
 	}
 }
 

@@ -133,7 +133,7 @@ func (r *Runner) Call(proc string, args ...uint64) (status, value uint64, err er
 }
 
 // SetEngine selects the simulated machine's execution loop (BackendVM
-// only; the default is the fast threaded-code engine).
+// only; the default is the native closure-chain engine).
 func (r *Runner) SetEngine(e machine.Engine) {
 	if r.inst != nil {
 		r.inst.M.Engine = e

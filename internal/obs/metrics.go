@@ -59,7 +59,7 @@ type Metrics struct {
 	Counters   map[string]int64             `json:"counters"`
 	Histograms map[string]HistogramSnapshot `json:"histograms"`
 	// EngineName and Engine carry engine-introspection telemetry (kernel
-	// activity, deopt buckets, dispatch and fusion counts). Both are
+	// activity, deopt buckets, chain dispatches). Both are
 	// omitted unless RecordEngineTelemetry was called: the counters above
 	// are engine-independent, the engine section is engine-dependent by
 	// nature, and keeping it opt-in keeps default exports byte-identical
@@ -165,7 +165,6 @@ func (o *Observer) Metrics() *Metrics {
 			"deopt_budget":     t.DeoptBudget,
 			"deopt_observer":   t.DeoptObserver,
 			"chain_dispatches": t.ChainDispatches,
-			"fusion_hits":      t.FusionHits,
 		}
 		// Only a non-contiguous stack policy can force kernel stand-
 		// downs; the key appears only when one did, keeping pre-policy

@@ -1,10 +1,9 @@
 // Package obs is the observability layer for the C-- reproduction: a
 // structured event tracer, a metrics registry, and a simulated-cycle
-// profiler, shared by all three execution engines of internal/machine
-// (the reference stepper, the threaded-code engine, and the native
-// tier), the VM's Table 1 run-time interface (internal/vm), the
-// abstract machine (internal/sem), and the exception dispatchers
-// (internal/dispatch).
+// profiler, shared by both execution engines of internal/machine (the
+// reference stepper and the native tier), the VM's Table 1 run-time
+// interface (internal/vm), the abstract machine (internal/sem), and the
+// exception dispatchers (internal/dispatch).
 //
 // The package is a leaf: it imports nothing from the rest of the module,
 // so every layer can emit into it without import cycles. Producers hold
@@ -295,9 +294,9 @@ func (o *Observer) RecordMachineCounters(c MachineCounters) {
 // EngineTelemetry mirrors the machine's engine-introspection counters
 // (machine.Telemetry) so exporters can render them without obs importing
 // the machine. Unlike MachineCounters these are engine-DEPENDENT: the
-// same program produces different telemetry under ref, fast, and native.
+// same program produces different telemetry under ref and native.
 type EngineTelemetry struct {
-	Engine          string // "ref", "fast", or "native"
+	Engine          string // "ref" or "native"
 	KernelEntries   int64
 	KernelIters     int64
 	KernelInstrs    int64
@@ -308,7 +307,6 @@ type EngineTelemetry struct {
 	DeoptPolicy     int64
 	DeoptSlice      int64
 	ChainDispatches int64
-	FusionHits      int64
 }
 
 // RecordEngineTelemetry snapshots the engine-introspection counters into

@@ -419,7 +419,7 @@ func TestEngineTelemetryMetrics(t *testing.T) {
 	want := map[string]int64{
 		"kernel_entries": 2, "kernel_iters": 40, "kernel_instrs": 600,
 		"deopt_cycle_exit": 2, "deopt_trap_edge": 0, "deopt_budget": 0,
-		"deopt_observer": 0, "chain_dispatches": 9, "fusion_hits": 0,
+		"deopt_observer": 0, "chain_dispatches": 9,
 	}
 	for k, v := range want {
 		if m.Engine[k] != v {

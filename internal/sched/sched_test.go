@@ -99,7 +99,7 @@ func requestMix(protos []*vm.Instance, n int) []Task {
 // by a 4-worker pool — every request completes with the right answer
 // (42, or the cancellation payload 99).
 func TestServeAllMechanisms(t *testing.T) {
-	protos := mechanismProtos(t, machine.EngineFast)
+	protos := mechanismProtos(t, machine.EngineNative)
 	tasks := requestMix(protos, 48)
 	results, err := Run(Config{Workers: 4, Slice: 500}, tasks)
 	if err != nil {
@@ -188,12 +188,12 @@ func aggregate(rs []Result) (slices, instrs, cycles, completed, cancelled, trapp
 // TestDeterminismAcrossWorkers is the scheduler's core contract: the
 // same request mix over 1, 2, and NumCPU workers produces identical
 // per-task (result, trap, Stats) tuples and identical aggregate
-// telemetry, on both batched engines. Runs under -race in CI.
+// telemetry, on both engines. Runs under -race in CI.
 func TestDeterminismAcrossWorkers(t *testing.T) {
 	for _, eng := range []struct {
 		name string
 		e    machine.Engine
-	}{{"fast", machine.EngineFast}, {"native", machine.EngineNative}} {
+	}{{"ref", machine.EngineRef}, {"native", machine.EngineNative}} {
 		t.Run(eng.name, func(t *testing.T) {
 			protos := mechanismProtos(t, eng.e)
 			tasks := requestMix(protos, 64)
@@ -255,7 +255,7 @@ func TestSliceSizeIndependentResults(t *testing.T) {
 // TestTrapsAreIsolated: a request that traps (or can't even start)
 // reports its error without disturbing its neighbours.
 func TestTrapsAreIsolated(t *testing.T) {
-	protos := mechanismProtos(t, machine.EngineFast)
+	protos := mechanismProtos(t, machine.EngineNative)
 	tasks := []Task{
 		{ID: 0, Proto: protos[0], Proc: "f", Args: []uint64{8}},
 		{ID: 1, Proto: protos[0], Proc: "no-such-proc"},
@@ -282,7 +282,7 @@ func TestTrapsAreIsolated(t *testing.T) {
 // TestObserverSchedSection: attaching an observer to a run adds the
 // sched section and histograms to the metrics export.
 func TestObserverSchedSection(t *testing.T) {
-	protos := mechanismProtos(t, machine.EngineFast)
+	protos := mechanismProtos(t, machine.EngineNative)
 	tasks := requestMix(protos, 24)
 	o := obs.New()
 	if _, err := Run(Config{Workers: 3, Slice: 500, Obs: o}, tasks); err != nil {

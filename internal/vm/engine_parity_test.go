@@ -12,9 +12,8 @@ import (
 	"cmm/internal/progen"
 )
 
-// The engine-parity suite: the fast threaded-code engine and the
-// native closure-compiled engine must both produce bit-identical
-// observable state against the reference stepper — results, every
+// The engine-parity suite: the native closure-compiled engine must
+// produce bit-identical observable state against the reference stepper — results, every
 // register, all of simulated memory, and every Counters field — on the
 // paper figures, on dispatcher-driven yields, and on a randomized
 // program sweep, at -O0 and -O2. The cost-model numbers ARE the paper
@@ -29,7 +28,7 @@ type engineState struct {
 	mem   []byte
 }
 
-// parityBudget bounds each engine run in the fast-vs-ref sweeps. A
+// parityBudget bounds each engine run in the native-vs-ref sweeps. A
 // program that exceeds it traps identically on both engines (the
 // backstop is part of the parity contract), so a tight budget loses no
 // coverage while keeping divergent random programs cheap.
@@ -52,40 +51,32 @@ func runOnEngine(t *testing.T, cp *codegen.Program, e machine.Engine, budget int
 	return st
 }
 
-// batchedEngines are the engines checked against the reference stepper.
-var batchedEngines = []struct {
-	name string
-	e    machine.Engine
-}{
-	{"fast", machine.EngineFast},
-	{"native", machine.EngineNative},
-}
-
+// compareEngines runs proc on the reference stepper and on the native
+// tier and requires bit-identical traps, results, counters, registers
+// and memory. It returns the reference run.
 func compareEngines(t *testing.T, label string, cp *codegen.Program, proc string, args []uint64, opts ...Option) engineState {
 	t.Helper()
 	ref := runOnEngine(t, cp, machine.EngineRef, parityBudget, proc, args, opts...)
-	for _, be := range batchedEngines {
-		got := runOnEngine(t, cp, be.e, parityBudget, proc, args, opts...)
-		if ref.err != got.err {
-			t.Errorf("%s %s%v: trap mismatch\nref:  %q\n%s: %q", label, proc, args, ref.err, be.name, got.err)
-			continue
-		}
-		if ref.err == "" {
-			for i := range ref.res {
-				if ref.res[i] != got.res[i] {
-					t.Errorf("%s %s%v result %d: ref %d %s %d", label, proc, args, i, ref.res[i], be.name, got.res[i])
-				}
+	got := runOnEngine(t, cp, machine.EngineNative, parityBudget, proc, args, opts...)
+	if ref.err != got.err {
+		t.Errorf("%s %s%v: trap mismatch\nref:    %q\nnative: %q", label, proc, args, ref.err, got.err)
+		return ref
+	}
+	if ref.err == "" {
+		for i := range ref.res {
+			if ref.res[i] != got.res[i] {
+				t.Errorf("%s %s%v result %d: ref %d native %d", label, proc, args, i, ref.res[i], got.res[i])
 			}
 		}
-		if ref.stats != got.stats {
-			t.Errorf("%s %s%v: counter mismatch\nref:  %+v\n%s: %+v", label, proc, args, ref.stats, be.name, got.stats)
-		}
-		if ref.regs != got.regs {
-			t.Errorf("%s %s%v: register mismatch\nref:  %v\n%s: %v", label, proc, args, ref.regs, be.name, got.regs)
-		}
-		if !bytes.Equal(ref.mem, got.mem) {
-			t.Errorf("%s %s%v: simulated memory mismatch vs %s", label, proc, args, be.name)
-		}
+	}
+	if ref.stats != got.stats {
+		t.Errorf("%s %s%v: counter mismatch\nref:    %+v\nnative: %+v", label, proc, args, ref.stats, got.stats)
+	}
+	if ref.regs != got.regs {
+		t.Errorf("%s %s%v: register mismatch\nref:    %v\nnative: %v", label, proc, args, ref.regs, got.regs)
+	}
+	if !bytes.Equal(ref.mem, got.mem) {
+		t.Errorf("%s %s%v: simulated memory mismatch", label, proc, args)
 	}
 	return ref
 }
@@ -103,8 +94,8 @@ func TestEngineParityFigure1(t *testing.T) {
 
 // TestEngineParityRandomSweep is the seeded differential sweep required
 // for any engine change: ≥50 random programs (with and without
-// exceptional control flow) on several inputs, fast and native vs.
-// reference, at -O0 and -O2, asserting bit-identical results AND
+// exceptional control flow) on several inputs, native vs. reference,
+// at -O0 and -O2, asserting bit-identical results AND
 // simulated counters.
 func TestEngineParityRandomSweep(t *testing.T) {
 	seeds := 60
@@ -124,9 +115,10 @@ func TestEngineParityRandomSweep(t *testing.T) {
 	}
 }
 
-// TestEngineParityVsSemantics closes the triangle: the fast engine must
-// also agree with the §5 abstract machine on results (the counters are
-// compared fast-vs-ref above; the semantics has no machine counters).
+// TestEngineParityVsSemantics closes the triangle: the native engine
+// must also agree with the §5 abstract machine on results (the counters
+// are compared native-vs-ref above; the semantics has no machine
+// counters).
 func TestEngineParityVsSemantics(t *testing.T) {
 	seeds := 12
 	if testing.Short() {
@@ -142,14 +134,14 @@ func TestEngineParityVsSemantics(t *testing.T) {
 					t.Fatal(err)
 				}
 				semRes, semErr := sm.Run("p0", arg)
-				fast := runOnEngine(t, cp, machine.EngineFast, 0, "p0", []uint64{arg})
-				if (semErr == nil) != (fast.err == "") {
-					t.Errorf("seed %d exc=%v arg=%d: sem err=%v, fast err=%q", seed, exc, arg, semErr, fast.err)
+				nat := runOnEngine(t, cp, machine.EngineNative, 0, "p0", []uint64{arg})
+				if (semErr == nil) != (nat.err == "") {
+					t.Errorf("seed %d exc=%v arg=%d: sem err=%v, native err=%q", seed, exc, arg, semErr, nat.err)
 					continue
 				}
-				if semErr == nil && semRes[0].Bits != fast.res[0] {
-					t.Errorf("seed %d exc=%v arg=%d: sem %d, fast %d\n%s",
-						seed, exc, arg, semRes[0].Bits, fast.res[0], src)
+				if semErr == nil && semRes[0].Bits != nat.res[0] {
+					t.Errorf("seed %d exc=%v arg=%d: sem %d, native %d\n%s",
+						seed, exc, arg, semRes[0].Bits, nat.res[0], src)
 				}
 			}
 		}

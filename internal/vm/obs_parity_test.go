@@ -13,9 +13,8 @@ import (
 )
 
 // The observability parity suite extends the engine-parity contract to
-// the event layer: with an observer attached, the reference stepper,
-// the fast threaded-code engine, and the native closure-compiled engine
-// must emit IDENTICAL event streams — same kinds, same simulated-cycle
+// the event layer: with an observer attached, the reference stepper and
+// the native closure-compiled engine must emit IDENTICAL event streams — same kinds, same simulated-cycle
 // timestamps, same payloads — and attaching an observer must not
 // perturb the simulated counters at all.
 
@@ -40,11 +39,11 @@ func diffEvents(t *testing.T, label string, ref, got []obs.Event) {
 	}
 	for i := 0; i < n; i++ {
 		if ref[i] != got[i] {
-			t.Errorf("%s: event %d differs\nref:   %+v\nother: %+v", label, i, ref[i], got[i])
+			t.Errorf("%s: event %d differs\nref:    %+v\nnative: %+v", label, i, ref[i], got[i])
 			return
 		}
 	}
-	t.Errorf("%s: event count differs: ref %d, other %d", label, len(ref), len(got))
+	t.Errorf("%s: event count differs: ref %d, native %d", label, len(ref), len(got))
 }
 
 // TestObsEventStreamParityRandomSweep is the randomized differential
@@ -64,13 +63,11 @@ func TestObsEventStreamParityRandomSweep(t *testing.T) {
 				for _, arg := range []uint64{0, 7, 100} {
 					label := fmt.Sprintf("seed=%d/exc=%v/-O%d/arg=%d", seed, exc, opt, arg)
 					oRef, stRef := runWithObserver(t, cp, machine.EngineRef, "p0", []uint64{arg})
-					for _, be := range batchedEngines {
-						oGot, stGot := runWithObserver(t, cp, be.e, "p0", []uint64{arg})
-						if stRef.err != stGot.err {
-							t.Fatalf("%s: trap mismatch: ref %q %s %q", label, stRef.err, be.name, stGot.err)
-						}
-						diffEvents(t, label+"/"+be.name, oRef.Trace, oGot.Trace)
+					oGot, stGot := runWithObserver(t, cp, machine.EngineNative, "p0", []uint64{arg})
+					if stRef.err != stGot.err {
+						t.Fatalf("%s: trap mismatch: ref %q native %q", label, stRef.err, stGot.err)
 					}
+					diffEvents(t, label, oRef.Trace, oGot.Trace)
 				}
 			}
 		}
@@ -78,7 +75,7 @@ func TestObsEventStreamParityRandomSweep(t *testing.T) {
 }
 
 // TestObsEventStreamParityDispatch covers the run-time-system path,
-// where the fast engine suspends mid-chunk: unwind-walking and
+// where the native engine suspends mid-chunk: unwind-walking and
 // stack-cutting dispatchers must leave identical event streams,
 // including the walk and resume events emitted during the yield.
 func TestObsEventStreamParityDispatch(t *testing.T) {
@@ -86,19 +83,15 @@ func TestObsEventStreamParityDispatch(t *testing.T) {
 	cut := compile(t, cutParitySrc, codegen.Options{})
 	for _, depth := range []uint64{0, 1, 4, 32} {
 		oRef, _ := runWithObserver(t, unwind, machine.EngineRef, "f", []uint64{depth}, WithRuntime(RuntimeFunc(unwindWalker)))
-		for _, be := range batchedEngines {
-			oGot, _ := runWithObserver(t, unwind, be.e, "f", []uint64{depth}, WithRuntime(RuntimeFunc(unwindWalker)))
-			diffEvents(t, fmt.Sprintf("unwind depth=%d/%s", depth, be.name), oRef.Trace, oGot.Trace)
-		}
+		oGot, _ := runWithObserver(t, unwind, machine.EngineNative, "f", []uint64{depth}, WithRuntime(RuntimeFunc(unwindWalker)))
+		diffEvents(t, fmt.Sprintf("unwind depth=%d", depth), oRef.Trace, oGot.Trace)
 		if depth > 0 && oRef.Count(obs.KUnwindStep) == 0 {
 			t.Errorf("unwind depth=%d: no unwind-step events recorded", depth)
 		}
 
 		oRef, _ = runWithObserver(t, cut, machine.EngineRef, "f", []uint64{depth}, WithRuntime(RuntimeFunc(cutWalker)))
-		for _, be := range batchedEngines {
-			oGot, _ := runWithObserver(t, cut, be.e, "f", []uint64{depth}, WithRuntime(RuntimeFunc(cutWalker)))
-			diffEvents(t, fmt.Sprintf("cut depth=%d/%s", depth, be.name), oRef.Trace, oGot.Trace)
-		}
+		oGot, _ = runWithObserver(t, cut, machine.EngineNative, "f", []uint64{depth}, WithRuntime(RuntimeFunc(cutWalker)))
+		diffEvents(t, fmt.Sprintf("cut depth=%d", depth), oRef.Trace, oGot.Trace)
 		if oRef.Count(obs.KResumeCut) == 0 {
 			t.Errorf("cut depth=%d: no resume-cut event recorded", depth)
 		}
@@ -116,7 +109,7 @@ func TestObsDisabledPathBitIdentical(t *testing.T) {
 	}
 	check := func(label string, cp *codegen.Program, proc string, args []uint64, opts ...Option) {
 		t.Helper()
-		for _, e := range []machine.Engine{machine.EngineRef, machine.EngineFast, machine.EngineNative} {
+		for _, e := range []machine.Engine{machine.EngineRef, machine.EngineNative} {
 			bare := runOnEngine(t, cp, e, parityBudget, proc, args, opts...)
 			_, observed := runWithObserver(t, cp, e, proc, args, opts...)
 			if bare.err != observed.err {
@@ -152,7 +145,7 @@ func TestObsTelemetryNeutralAndStable(t *testing.T) {
 	src := progen.Generate(3, progen.Config{Exceptions: true})
 	cp := compile(t, src, codegen.Options{})
 
-	for _, e := range []machine.Engine{machine.EngineRef, machine.EngineFast, machine.EngineNative} {
+	for _, e := range []machine.Engine{machine.EngineRef, machine.EngineNative} {
 		telem := func(opts ...Option) machine.Telemetry {
 			inst, err := NewInstance(cp, append([]Option{WithEngine(e), WithMemSize(1 << 20)}, opts...)...)
 			if err != nil {

@@ -15,7 +15,6 @@ var vmEngines = []struct {
 	e    machine.Engine
 }{
 	{"ref", machine.EngineRef},
-	{"fast", machine.EngineFast},
 	{"native", machine.EngineNative},
 }
 

@@ -62,10 +62,9 @@ type config struct {
 // WithMemSize sets the simulated memory size.
 func WithMemSize(n int) Option { return func(c *config) { c.memSize = n } }
 
-// WithEngine selects the machine's execution loop (the fast threaded-
-// code engine by default; machine.EngineRef for the reference stepper,
-// machine.EngineNative for the closure-chain tier). Simulated counters
-// are bit-identical under all of them.
+// WithEngine selects the machine's execution loop (the native closure-
+// chain tier by default; machine.EngineRef for the reference stepper).
+// Simulated counters are bit-identical under both.
 func WithEngine(e machine.Engine) Option { return func(c *config) { c.engine = e } }
 
 // WithRuntime installs the front-end run-time system.
@@ -301,7 +300,7 @@ func (inst *Instance) Results() []uint64 {
 // effect at the next StepSlice.
 func (inst *Instance) SetSlice(n int64) { inst.M.SliceLimit = n }
 
-// Precompile builds the selected engine's compiled artifacts eagerly
+// Precompile builds the native engine's closure chains eagerly
 // (machine.Precompile), so clones adopt them instead of recompiling.
 func (inst *Instance) Precompile() { inst.M.Precompile() }
 
@@ -425,7 +424,7 @@ func (inst *Instance) ResetStats() {
 }
 
 // Telemetry exposes the machine's engine-introspection counters (kernel
-// activity, deopt buckets, dispatch and fusion counts). Deterministic
+// activity, deopt buckets, chain dispatches). Deterministic
 // per engine, all-zero under the reference engine.
 func (inst *Instance) Telemetry() machine.Telemetry { return inst.M.Telem }
 
@@ -438,13 +437,10 @@ func (inst *Instance) ExplainKernels() []machine.KernelCandidate {
 
 // EngineName names the instance's selected engine.
 func (inst *Instance) EngineName() string {
-	switch inst.M.Engine {
-	case machine.EngineRef:
+	if inst.M.Engine == machine.EngineRef {
 		return "ref"
-	case machine.EngineNative:
-		return "native"
 	}
-	return "fast"
+	return "native"
 }
 
 // Observer returns the attached observability sink, or nil.
@@ -484,7 +480,6 @@ func (inst *Instance) RecordEngineTelemetry() {
 		DeoptPolicy:     t.DeoptPolicy,
 		DeoptSlice:      t.DeoptSlice,
 		ChainDispatches: t.ChainDispatches,
-		FusionHits:      t.FusionHits,
 	})
 }
 

@@ -89,17 +89,17 @@ func checkGolden(t *testing.T, name string, got []byte) {
 // mechanism produces on the depth-4 Figure 2 scenario. Runtime-only
 // traces (no ObserveCompile) are fully deterministic: timestamps are
 // simulated cycles, and metrics maps marshal with sorted keys. The
-// native engine must reproduce the SAME golden bytes as the fast engine
-// — the goldens are engine-independent by construction (the -update
-// flag rewrites from the fast engine only).
+// native engine must reproduce the SAME golden bytes as the reference
+// engine — the goldens are engine-independent by construction (the
+// -update flag rewrites from the reference engine only).
 func TestObsGoldenTraces(t *testing.T) {
 	for _, mech := range obsMechanisms() {
 		t.Run(mech.name, func(t *testing.T) {
 			for _, eng := range []struct {
 				name string
 				e    cmm.Engine
-			}{{"fast", cmm.EngineFast}, {"native", cmm.EngineNative}} {
-				if *updateGolden && eng.name != "fast" {
+			}{{"ref", cmm.EngineRef}, {"native", cmm.EngineNative}} {
+				if *updateGolden && eng.name != "ref" {
 					continue
 				}
 				o := observeMechanism(t, mech, eng.e, 4)
@@ -129,7 +129,7 @@ func TestObsMechanismSignatures(t *testing.T) {
 	const depth = 8
 	counters := map[string]map[string]int64{}
 	for _, mech := range obsMechanisms() {
-		o := observeMechanism(t, mech, cmm.EngineFast, depth)
+		o := observeMechanism(t, mech, cmm.EngineNative, depth)
 		counters[mech.name] = o.Metrics().Counters
 	}
 	if c := counters["cut"]; c["cuts"] != 1 || c["unwind_steps"] != 0 {
@@ -151,28 +151,22 @@ func TestObsMechanismSignatures(t *testing.T) {
 }
 
 // TestObsEngineEventParityRoot extends the engine-parity contract to the
-// dispatcher-driven paths only reachable through the public API: every
-// engine must emit identical event streams under every mechanism.
+// dispatcher-driven paths only reachable through the public API: both
+// engines must emit identical event streams under every mechanism.
 func TestObsEngineEventParityRoot(t *testing.T) {
-	engines := []struct {
-		name string
-		e    cmm.Engine
-	}{{"fast", cmm.EngineFast}, {"native", cmm.EngineNative}}
 	for _, mech := range obsMechanisms() {
 		for _, depth := range []uint64{0, 4, 32} {
 			ref := observeMechanism(t, mech, cmm.EngineRef, depth)
-			for _, eng := range engines {
-				got := observeMechanism(t, mech, eng.e, depth)
-				label := fmt.Sprintf("%s depth=%d %s", mech.name, depth, eng.name)
-				if len(ref.Trace) != len(got.Trace) {
-					t.Errorf("%s: event count differs: ref %d, %s %d", label, len(ref.Trace), eng.name, len(got.Trace))
-					continue
-				}
-				for i := range ref.Trace {
-					if ref.Trace[i] != got.Trace[i] {
-						t.Errorf("%s: event %d differs\nref:   %+v\nother: %+v", label, i, ref.Trace[i], got.Trace[i])
-						break
-					}
+			got := observeMechanism(t, mech, cmm.EngineNative, depth)
+			label := fmt.Sprintf("%s depth=%d", mech.name, depth)
+			if len(ref.Trace) != len(got.Trace) {
+				t.Errorf("%s: event count differs: ref %d, native %d", label, len(ref.Trace), len(got.Trace))
+				continue
+			}
+			for i := range ref.Trace {
+				if ref.Trace[i] != got.Trace[i] {
+					t.Errorf("%s: event %d differs\nref:    %+v\nnative: %+v", label, i, ref.Trace[i], got.Trace[i])
+					break
 				}
 			}
 		}

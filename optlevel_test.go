@@ -17,7 +17,7 @@ import (
 // The -O2 correctness contract: optimization may change cycle counts
 // but never observable behavior. This file enforces it three ways — a
 // randomized differential sweep (results, traps, and observable event
-// streams identical at -O0 and -O2), ref-vs-fast engine parity of the
+// streams identical at -O0 and -O2), ref-vs-native engine parity of the
 // optimized code, and the Hennessy-1981 ablation composed with the
 // interprocedural pass.
 
@@ -124,9 +124,8 @@ func normalizeTrap(trap string) string { return trapPC.ReplaceAllString(trap, "p
 // TestOptLevelDifferentialSweep runs randomized progen programs —
 // exceptions on and off, several inputs — at -O0 and -O2 and requires
 // identical results, identical traps, and identical observable event
-// streams. Each level additionally runs on all three engines
-// (ref/fast/native), which must agree exactly with each other at that
-// level. The seed range is CMM_SWEEP_SEEDS-configurable so CI can
+// streams. Each level runs on both engines (ref, the spec, and
+// native), which must agree exactly with each other at that level. The seed range is CMM_SWEEP_SEEDS-configurable so CI can
 // widen it without a code change.
 func TestOptLevelDifferentialSweep(t *testing.T) {
 	lo, hi := sweepSeeds(t)
@@ -135,32 +134,27 @@ func TestOptLevelDifferentialSweep(t *testing.T) {
 			src := progen.Generate(seed, progen.Config{Exceptions: exc})
 			for _, arg := range []uint64{0, 7, 100} {
 				label := fmt.Sprintf("seed=%d/exc=%v/arg=%d", seed, exc, arg)
-				res0, trap0, sig0 := runAtLevel(t, src, 0, cmm.EngineFast, "p0", arg)
-				res2, trap2, sig2 := runAtLevel(t, src, 2, cmm.EngineFast, "p0", arg)
+				res0, trap0, sig0 := runAtLevel(t, src, 0, cmm.EngineRef, "p0", arg)
+				res2, trap2, sig2 := runAtLevel(t, src, 2, cmm.EngineRef, "p0", arg)
 				// Within one level the engines are bit-identical, so the
-				// three-way comparison is exact: same results, same trap
-				// text, same full event stream.
-				for _, eng := range []struct {
-					name string
-					e    cmm.Engine
-				}{{"ref", cmm.EngineRef}, {"native", cmm.EngineNative}} {
-					for _, lv := range []struct {
-						level int
-						res   []uint64
-						trap  string
-						sig   []string
-					}{{0, res0, trap0, sig0}, {2, res2, trap2, sig2}} {
-						rE, tE, sE := runAtLevel(t, src, lv.level, eng.e, "p0", arg)
-						elabel := fmt.Sprintf("%s/-O%d/%s", label, lv.level, eng.name)
-						if tE != lv.trap {
-							t.Errorf("%s: trap mismatch vs fast: %q vs %q", elabel, tE, lv.trap)
-							continue
-						}
-						if fmt.Sprint(rE) != fmt.Sprint(lv.res) {
-							t.Errorf("%s: result mismatch vs fast: %v vs %v", elabel, rE, lv.res)
-						}
-						diffSignatures(t, elabel, lv.sig, sE, false)
+				// comparison is exact: same results, same trap text, same
+				// full event stream.
+				for _, lv := range []struct {
+					level int
+					res   []uint64
+					trap  string
+					sig   []string
+				}{{0, res0, trap0, sig0}, {2, res2, trap2, sig2}} {
+					rN, tN, sN := runAtLevel(t, src, lv.level, cmm.EngineNative, "p0", arg)
+					nlabel := fmt.Sprintf("%s/-O%d/native", label, lv.level)
+					if tN != lv.trap {
+						t.Errorf("%s: trap mismatch vs ref: %q vs %q", nlabel, tN, lv.trap)
+						continue
 					}
+					if fmt.Sprint(rN) != fmt.Sprint(lv.res) {
+						t.Errorf("%s: result mismatch vs ref: %v vs %v", nlabel, rN, lv.res)
+					}
+					diffSignatures(t, nlabel, lv.sig, sN, false)
 				}
 				// A budget trap is a resource limit, not program
 				// semantics: the optimized code retires fewer
@@ -190,7 +184,7 @@ func TestOptLevelDifferentialSweep(t *testing.T) {
 }
 
 // TestOptLevelEngineParity reruns every optimizer workload at -O2 on
-// all three engines: results and every simulated cost counter must be
+// both engines: results and every simulated cost counter must be
 // bit-identical, so the optimization layer cannot introduce an
 // engine-dependent path.
 func TestOptLevelEngineParity(t *testing.T) {
@@ -225,14 +219,12 @@ func TestOptLevelEngineParity(t *testing.T) {
 				return res, mach.Stats()
 			}
 			refRes, refStats := run(cmm.EngineRef)
-			for _, e := range []cmm.Engine{cmm.EngineFast, cmm.EngineNative} {
-				gotRes, gotStats := run(e)
-				if fmt.Sprint(refRes) != fmt.Sprint(gotRes) {
-					t.Errorf("result mismatch: ref %v engine %v %v", refRes, e, gotRes)
-				}
-				if refStats != gotStats {
-					t.Errorf("counter mismatch at -O2:\nref:      %+v\nengine %v: %+v", refStats, e, gotStats)
-				}
+			gotRes, gotStats := run(cmm.EngineNative)
+			if fmt.Sprint(refRes) != fmt.Sprint(gotRes) {
+				t.Errorf("result mismatch: ref %v native %v", refRes, gotRes)
+			}
+			if refStats != gotStats {
+				t.Errorf("counter mismatch at -O2:\nref:    %+v\nnative: %+v", refStats, gotStats)
 			}
 		})
 	}
@@ -284,7 +276,7 @@ g(bits32 x) { return (x + 1); }
 
 func TestBankExhaustionExecution(t *testing.T) {
 	for _, level := range []int{0, 1, 2} {
-		res, trap, _ := runAtLevel(t, bankExhaustSrc, level, cmm.EngineFast, "f", 5)
+		res, trap, _ := runAtLevel(t, bankExhaustSrc, level, cmm.EngineNative, "f", 5)
 		if trap != "" {
 			t.Fatalf("-O%d: %s", level, trap)
 		}

@@ -52,7 +52,7 @@ const DivZeroTag = dispatch.DivZeroTag
 // value-passing area's contents and returns results for it.
 type Foreign func(args []uint64) ([]uint64, error)
 
-// Engine selects the simulated machine's execution loop. All engines
+// Engine selects the simulated machine's execution loop. Both engines
 // implement the cost model bit-for-bit — simulated cycles, instruction
 // counts, and memory traffic are identical — and differ only in host
 // wall-clock speed. The parity suite in internal/vm asserts this on
@@ -60,15 +60,14 @@ type Foreign func(args []uint64) ([]uint64, error)
 type Engine = machine.Engine
 
 const (
-	// EngineFast is the threaded-code engine (pre-decoded dispatch,
-	// fused superinstructions, batched counters). The default.
-	EngineFast = machine.EngineFast
-	// EngineRef is the reference engine: one Step() per instruction.
-	EngineRef = machine.EngineRef
-	// EngineNative is the host-native tier: each basic block becomes a
-	// compiled Go closure chained by direct calls, with cycle accounting
-	// decoupled into per-block deltas aggregated at compile time.
+	// EngineNative is the host-native tier and the default: each basic
+	// block becomes a compiled Go closure chained by direct calls, with
+	// cycle accounting decoupled into per-block deltas aggregated at
+	// compile time, and hot cycles distilled into closed-form kernels.
 	EngineNative = machine.EngineNative
+	// EngineRef is the reference engine and the specification: one
+	// Step() per instruction.
+	EngineRef = machine.EngineRef
 )
 
 // StackPolicy selects the activation-stack strategy's shadow model for
@@ -160,8 +159,8 @@ type RunOption func(*RunConfig)
 // WithMemSize sets the simulated memory size in bytes.
 func WithMemSize(n int) RunOption { return func(c *RunConfig) { c.MemSize = n } }
 
-// WithEngine selects the execution engine for Native machines (EngineFast
-// is the default; Interp ignores the option).
+// WithEngine selects the execution engine for Native machines
+// (EngineNative is the default; Interp ignores the option).
 func WithEngine(e Engine) RunOption { return func(c *RunConfig) { c.Engine = e } }
 
 // WithDispatcher installs the front-end run-time system entered on
@@ -377,8 +376,8 @@ func (mc *Machine) ResetStats() { mc.inst.ResetStats() }
 
 // Telemetry is the engine-introspection counter set: kernel entries and
 // closed-form iterations on the native tier, deopt events bucketed by
-// reason, trampoline dispatches, and superinstruction-fusion hits on the
-// fast engine. Unlike Stats it is engine-DEPENDENT by design, but it is
+// reason, and trampoline dispatches. Unlike Stats it is engine-DEPENDENT
+// by design (the reference engine leaves it zero), but it is
 // deterministic for a given (program, engine, budget) and never feeds
 // back into the simulated counters.
 type Telemetry = machine.Telemetry
@@ -386,8 +385,7 @@ type Telemetry = machine.Telemetry
 // Telemetry reports the machine's engine-introspection counters.
 func (mc *Machine) Telemetry() Telemetry { return mc.inst.Telemetry() }
 
-// EngineName names the machine's selected engine ("ref", "fast", or
-// "native").
+// EngineName names the machine's selected engine ("ref" or "native").
 func (mc *Machine) EngineName() string { return mc.inst.EngineName() }
 
 // RecordEngineTelemetry snapshots the engine-introspection counters into

@@ -18,7 +18,7 @@ import (
 // the policy's own StackStats ledger. This file enforces the contract
 // with a randomized differential sweep across all four policies at -O0
 // and -O2, pins the one-shot/multi-shot trap goldens, and checks the
-// ledger itself is engine-invariant across ref/fast/native.
+// ledger itself is engine-invariant across ref and native.
 
 // allStackPolicies is every strategy in the lab, in catalogue order.
 var allStackPolicies = []cmm.StackPolicy{
@@ -88,11 +88,11 @@ func TestStackPolicyPassivitySweep(t *testing.T) {
 			src := progen.Generate(seed, progen.Config{Exceptions: exc})
 			for _, level := range []int{0, 2} {
 				label := fmt.Sprintf("seed=%d/exc=%v/-O%d", seed, exc, level)
-				res0, trap0, trace0, stats0, _ := runStack(t, src, level, cmm.EngineFast, nil, cmm.ContUnchecked, "p0", 7)
+				res0, trap0, trace0, stats0, _ := runStack(t, src, level, cmm.EngineNative, nil, cmm.ContUnchecked, "p0", 7)
 				for _, pol := range allStackPolicies {
 					pol := pol
 					plabel := fmt.Sprintf("%s/%v", label, pol)
-					res, trap, trace, stats, _ := runStack(t, src, level, cmm.EngineFast, &pol, cmm.ContUnchecked, "p0", 7)
+					res, trap, trace, stats, _ := runStack(t, src, level, cmm.EngineNative, &pol, cmm.ContUnchecked, "p0", 7)
 					if trap != trap0 {
 						t.Errorf("%s: trap changed under the policy: %q vs %q", plabel, trap, trap0)
 						continue
@@ -141,11 +141,11 @@ func normalizeCutTrap(trap string) string {
 func TestOneShotViolationTrap(t *testing.T) {
 	src := readExample(t, "multishot_counter.cmm")
 	const golden = "machine trap at pc=?: one-shot continuation (target pc=? sp=?) cut to twice"
-	_, trap0, _, stats0, _ := runStack(t, src, 0, cmm.EngineFast, nil, cmm.ContOneShot, "f", 3)
+	_, trap0, _, stats0, _ := runStack(t, src, 0, cmm.EngineNative, nil, cmm.ContOneShot, "f", 3)
 	if normalizeCutTrap(trap0) != golden {
 		t.Fatalf("one-shot trap golden:\n got %q\nwant %q", normalizeCutTrap(trap0), golden)
 	}
-	for _, e := range []cmm.Engine{cmm.EngineRef, cmm.EngineFast, cmm.EngineNative} {
+	for _, e := range []cmm.Engine{cmm.EngineRef, cmm.EngineNative} {
 		for _, pol := range allStackPolicies {
 			pol := pol
 			_, trap, _, stats, _ := runStack(t, src, 0, e, &pol, cmm.ContOneShot, "f", 3)
@@ -158,7 +158,7 @@ func TestOneShotViolationTrap(t *testing.T) {
 		}
 	}
 	// f(1) takes the continuation exactly once: no violation.
-	if res, trap, _, _, _ := runStack(t, src, 0, cmm.EngineFast, nil, cmm.ContOneShot, "f", 1); trap != "" || res[0] != 1 {
+	if res, trap, _, _, _ := runStack(t, src, 0, cmm.EngineNative, nil, cmm.ContOneShot, "f", 1); trap != "" || res[0] != 1 {
 		t.Errorf("single-shot use under oneshot: res %v trap %q, want [1 ...] and none", res, trap)
 	}
 }
@@ -172,7 +172,7 @@ func TestMultiShotResumeDifferential(t *testing.T) {
 	src := readExample(t, "multishot_counter.cmm")
 	for _, pol := range allStackPolicies {
 		pol := pol
-		res, trap, _, _, ss := runStack(t, src, 0, cmm.EngineFast, &pol, cmm.ContMultiShot, "f", 3)
+		res, trap, _, _, ss := runStack(t, src, 0, cmm.EngineNative, &pol, cmm.ContMultiShot, "f", 3)
 		switch pol {
 		case cmm.StackCopy, cmm.StackHybrid:
 			if trap != "" {
@@ -195,7 +195,7 @@ func TestMultiShotResumeDifferential(t *testing.T) {
 	// The copy ledger quoted in STACKS.md, pinned so the prose stays
 	// honest: f(3) is one 13-word capture plus two resumes.
 	pol := cmm.StackCopy
-	_, trap, _, _, ss := runStack(t, src, 0, cmm.EngineFast, &pol, cmm.ContMultiShot, "f", 3)
+	_, trap, _, _, ss := runStack(t, src, 0, cmm.EngineNative, &pol, cmm.ContMultiShot, "f", 3)
 	if trap != "" {
 		t.Fatalf("copy multishot: %s", trap)
 	}
@@ -206,7 +206,7 @@ func TestMultiShotResumeDifferential(t *testing.T) {
 }
 
 // TestStackStatsEngineParity runs a cut-heavy recursion under every
-// policy on all three engines: the machine counters AND the policy
+// policy on both engines: the machine counters AND the policy
 // ledger must be bit-identical per policy, so the accounting cannot
 // depend on which engine drove the hooks (the native tier deopts its
 // push/pop kernels under a non-contig policy precisely to keep this
@@ -216,40 +216,38 @@ func TestStackStatsEngineParity(t *testing.T) {
 	for _, pol := range allStackPolicies {
 		pol := pol
 		t.Run(pol.String(), func(t *testing.T) {
-			resF, trapF, _, statsF, ledgerF := runStack(t, src, 2, cmm.EngineFast, &pol, cmm.ContUnchecked, "f", 200)
-			if trapF != "" {
-				t.Fatalf("fast: %s", trapF)
+			resR, trapR, _, statsR, ledgerR := runStack(t, src, 2, cmm.EngineRef, &pol, cmm.ContUnchecked, "f", 200)
+			if trapR != "" {
+				t.Fatalf("ref: %s", trapR)
 			}
-			if resF[0] != 42 {
-				t.Fatalf("fast: f(200) = %d, want 42", resF[0])
+			if resR[0] != 42 {
+				t.Fatalf("ref: f(200) = %d, want 42", resR[0])
 			}
-			for _, e := range []cmm.Engine{cmm.EngineRef, cmm.EngineNative} {
-				res, trap, _, stats, ledger := runStack(t, src, 2, e, &pol, cmm.ContUnchecked, "f", 200)
-				if trap != "" || fmt.Sprint(res) != fmt.Sprint(resF) {
-					t.Errorf("engine %v: res %v trap %q, want %v", e, res, trap, resF)
-				}
-				if stats != statsF {
-					t.Errorf("engine %v: machine counters differ:\nfast: %+v\n got: %+v", e, statsF, stats)
-				}
-				if ledger != ledgerF {
-					t.Errorf("engine %v: policy ledger differs:\nfast: %+v\n got: %+v", e, ledgerF, ledger)
-				}
+			res, trap, _, stats, ledger := runStack(t, src, 2, cmm.EngineNative, &pol, cmm.ContUnchecked, "f", 200)
+			if trap != "" || fmt.Sprint(res) != fmt.Sprint(resR) {
+				t.Errorf("native: res %v trap %q, want %v", res, trap, resR)
+			}
+			if stats != statsR {
+				t.Errorf("native: machine counters differ:\nref:    %+v\nnative: %+v", statsR, stats)
+			}
+			if ledger != ledgerR {
+				t.Errorf("native: policy ledger differs:\nref:    %+v\nnative: %+v", ledgerR, ledger)
 			}
 			// The ledgers must also be non-trivial where the strategy has
 			// work to account: 200 frames cross a chunk edge under seg,
 			// and the cut captures a snapshot under copy/hybrid.
 			switch pol {
 			case cmm.StackSeg:
-				if ledgerF.Overflows == 0 || ledgerF.SegmentsPeak < 2 {
-					t.Errorf("seg billed no chunk links on a 200-deep recursion: %+v", ledgerF)
+				if ledgerR.Overflows == 0 || ledgerR.SegmentsPeak < 2 {
+					t.Errorf("seg billed no chunk links on a 200-deep recursion: %+v", ledgerR)
 				}
 			case cmm.StackCopy:
-				if ledgerF.Captures == 0 || ledgerF.CaptureWords == 0 {
-					t.Errorf("copy took no snapshot on a cut: %+v", ledgerF)
+				if ledgerR.Captures == 0 || ledgerR.CaptureWords == 0 {
+					t.Errorf("copy took no snapshot on a cut: %+v", ledgerR)
 				}
 			case cmm.StackHybrid:
-				if ledgerF.Captures == 0 {
-					t.Errorf("hybrid took no snapshot on a cut: %+v", ledgerF)
+				if ledgerR.Captures == 0 {
+					t.Errorf("hybrid took no snapshot on a cut: %+v", ledgerR)
 				}
 			}
 		})
