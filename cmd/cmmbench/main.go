@@ -16,7 +16,7 @@
 //	go run ./cmd/cmmbench -olevels -json BENCH_pr5.json   # + JSON report
 //	go run ./cmd/cmmbench -olevels -goldens testdata/bench
 //	go run ./cmd/cmmbench -report -json BENCH_pr8.json    # combined report
-//	go run ./cmd/cmmbench -stacks -json BENCH_pr9.json -update-experiments EXPERIMENTS.md
+//	go run ./cmd/cmmbench -stacks -json BENCH_stacks.json -update-experiments EXPERIMENTS.md
 //
 // -engines measures host throughput (ns/op and simulated instructions
 // retired per host second) of both execution engines on every optimizer
@@ -57,7 +57,7 @@ var (
 	enginesMode  = flag.Bool("engines", false, "measure host throughput of both engines (ref, native) on the fixed workloads")
 	olevelsMode  = flag.Bool("olevels", false, "measure simulated cycles of the fixed workloads at -O0 and -O2")
 	reportMode   = flag.Bool("report", false, "run both the -olevels and -engines measurements; with -json, write one combined report for the cmmreport sentinel")
-	stacksMode   = flag.Bool("stacks", false, "race the four stack policies across the Figure 2 mechanisms; with -json, write the strategy × mechanism matrix")
+	stacksMode   = flag.Bool("stacks", false, "price the four stack policies across the Figure 2 mechanisms by replaying one observed run each; with -json, write the strategy × mechanism matrix")
 	updateExp    = flag.String("update-experiments", "", "with -stacks or -sched, splice the rendered table between that mode's markers in this file (EXPERIMENTS.md)")
 	outFile      = flag.String("out", "", "write output to this file instead of stdout")
 	jsonOut      = flag.String("json", "", "with -olevels/-engines/-report, also write the report as JSON to this file")

@@ -26,7 +26,9 @@
 // histograms as JSON; -profile writes a folded-stacks simulated-cycle
 // profile for flamegraph tools. All three work under every engine;
 // under interp, timestamps are abstract-machine transitions rather than
-// simulated cycles.
+// simulated cycles. -stack prices an activation-stack representation by
+// replaying the run's trace. -profile and -stack need the whole trace,
+// so both fail when the trace buffer dropped events.
 //
 // Errors are rendered as structured diagnostics (severity and the pass
 // that produced them), and the exit status is non-zero.
@@ -96,7 +98,7 @@ var (
 	vet         = flag.Bool("vet", false, "run the §4 well-formedness verifier before running; verifier errors fail the load (see VERIFIER.md)")
 	explain     = flag.Bool("explain", false, "print the native distiller's kernel report before running: which candidate cycles matched a closed-form kernel, and the precise rejection reason for the rest")
 	telemetry   = flag.Bool("telemetry", false, "print engine-introspection counters after the run (kernel entries/iters, deopt buckets, chain dispatches; ref/native engines only, all zero under ref)")
-	stackPolicy = flag.String("stack", "", "activation-stack policy: contig, seg, copy, or hybrid (machine engines only); prints the policy's ledger after the run and adds the stack section to -metrics")
+	stackPolicy = flag.String("stack", "", "activation-stack policy: contig, seg, copy, or hybrid (machine engines only); observes the run, prints the policy's ledger priced by replaying the trace, adds the stack section to -metrics, and sets the representation -cont multishot checks")
 	contMode    = flag.String("cont", "", "continuation reuse contract: oneshot or multishot (machine engines only; violations trap deterministically)")
 )
 
@@ -131,7 +133,7 @@ func main() {
 	}
 
 	var observer *cmm.Observer
-	if *traceOut != "" || *metricsOut != "" || *profileOut != "" {
+	if *traceOut != "" || *metricsOut != "" || *profileOut != "" || *stackPolicy != "" {
 		observer = cmm.NewObserver()
 	}
 
@@ -150,15 +152,16 @@ func main() {
 	if observer != nil {
 		opts = append(opts, cmm.WithObserver(observer))
 	}
+	var stackKind cmm.StackKind
 	if *stackPolicy != "" {
 		if *engine == "interp" {
 			fatal("flags", fmt.Errorf("-stack needs a machine engine (ref or native); the §5 abstract machine has no activation-stack representation"))
 		}
-		k, err := cmm.ParseStackPolicy(*stackPolicy)
+		stackKind, err = cmm.ParseStackKind(*stackPolicy)
 		if err != nil {
 			fatal("flags", badFlag("stack", *stackPolicy, "contig", "seg", "copy", "hybrid"))
 		}
-		opts = append(opts, cmm.WithStackPolicy(k))
+		opts = append(opts, cmm.WithStackPolicy(stackKind))
 	}
 	if *contMode != "" {
 		if *engine == "interp" {
@@ -235,7 +238,14 @@ func main() {
 		res, err := mach.Run(*runProc, args...)
 		mach.RecordObsCounters()
 		mach.RecordEngineTelemetry()
-		mach.RecordStackStats()
+		var ledger cmm.StackStats
+		if *stackPolicy != "" {
+			var serr error
+			if ledger, serr = mach.StackStats(stackKind); serr != nil {
+				fatal("stack", serr)
+			}
+			observer.RecordStackStats(ledger)
+		}
 		if err != nil {
 			writeObservations(mod, observer)
 			fatal("run", err)
@@ -248,7 +258,7 @@ func main() {
 			printTelemetry(mach)
 		}
 		if *stackPolicy != "" {
-			printStackStats(mach)
+			printStackStats(ledger)
 		}
 	default:
 		fatal("flags", badFlag("engine", *engine, "interp", "ref", "native"))
@@ -282,16 +292,15 @@ func printMachineStats(mach *cmm.Machine) {
 
 func printTelemetry(mach *cmm.Machine) {
 	t := mach.Telemetry()
-	fmt.Printf("telemetry[%s]: kernel entries: %d iters: %d instrs: %d | deopts cycle-exit: %d trap-edge: %d budget: %d observer: %d stack-policy: %d | dispatches: %d\n",
+	fmt.Printf("telemetry[%s]: kernel entries: %d iters: %d instrs: %d | deopts cycle-exit: %d trap-edge: %d budget: %d observer: %d | dispatches: %d\n",
 		mach.EngineName(), t.KernelEntries, t.KernelIters, t.KernelInstrs,
-		t.DeoptCycleExit, t.DeoptTrap, t.DeoptBudget, t.DeoptObserver, t.DeoptPolicy,
+		t.DeoptCycleExit, t.DeoptTrap, t.DeoptBudget, t.DeoptObserver,
 		t.ChainDispatches)
 }
 
-func printStackStats(mach *cmm.Machine) {
-	s := mach.StackStats()
+func printStackStats(s cmm.StackStats) {
 	fmt.Printf("stack[%s]: policy-cycles: %d cuts: %d captures: %d capture-words: %d resumes: %d overflows: %d underflows: %d segments-peak: %d\n",
-		mach.StackPolicyName(), s.PolicyCycles, s.Cuts, s.Captures, s.CaptureWords, s.Resumes,
+		s.Kind, s.PolicyCycles, s.Cuts, s.Captures, s.CaptureWords, s.Resumes,
 		s.Overflows, s.Underflows, s.SegmentsPeak)
 }
 
@@ -336,7 +345,11 @@ func writeObservations(mod *cmm.Module, o *cmm.Observer) {
 		}
 	}
 	if *profileOut != "" {
-		if err := os.WriteFile(*profileOut, []byte(o.Profile().Folded()), 0o644); err != nil {
+		p, err := o.Profile()
+		if err != nil {
+			fatal("profile", err)
+		}
+		if err := os.WriteFile(*profileOut, []byte(p.Folded()), 0o644); err != nil {
 			fatal("profile", err)
 		}
 	}

@@ -199,6 +199,49 @@ func TestCmmrunDiagnostics(t *testing.T) {
 	}
 }
 
+// TestCmmrunTruncatedTrace: -profile and -stack replay the whole
+// trace, so a run that overflows the trace buffer fails both with the
+// same diagnostic naming the dropped count, instead of writing a profile
+// or a ledger that silently under-counts.
+func TestCmmrunTruncatedTrace(t *testing.T) {
+	if testing.Short() {
+		t.Skip("tool smoke tests build binaries")
+	}
+	src := filepath.Join(t.TempDir(), "calls.cmm")
+	prog := `export main;
+leaf(bits32 x) {
+    return (x + 1);
+}
+main(bits32 n) {
+    bits32 i, s;
+    i = 0;
+    s = 0;
+loop:
+    if i < n {
+        s = leaf(s);
+        i = i + 1;
+        goto loop;
+    }
+    return (s);
+}
+`
+	if err := os.WriteFile(src, []byte(prog), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// 1.1M calls and returns are 2.2M events: past the 2M-event buffer.
+	const want = "trace truncated: 102850 events dropped past the 2097152-event buffer"
+	for _, flags := range [][]string{
+		{"-profile", filepath.Join(t.TempDir(), "p.folded")},
+		{"-stack", "seg"},
+	} {
+		args := append([]string{"./cmd/cmmrun", "-engine=native", "-run", "main", "-args", "1100000"}, flags...)
+		out := runToolFail(t, append(args, src)...)
+		if !strings.Contains(out, "error: [") || !strings.Contains(out, want) {
+			t.Errorf("cmmrun %s on a truncated trace:\n%s\nwant a diagnostic containing %q", flags[0], out, want)
+		}
+	}
+}
+
 // TestCmmbenchTool: the figure regenerator emits the Figure 2 table with
 // the cycle counts EXPERIMENTS.md quotes, and -bench emits JSON.
 func TestCmmbenchTool(t *testing.T) {

@@ -275,7 +275,7 @@ type Telemetry struct {
 	DeoptTrap      int64 // stopped at a memory bound: a potential trap must run on the chains
 	DeoptBudget    int64 // stopped at the instruction-budget edge
 	DeoptObserver  int64 // kernel refused to run: an observer needs the cycle's events
-	DeoptPolicy    int64 // kernel refused to run: a non-contiguous stack policy needs the cycle's hooks
+	DeoptPolicy    int64 // always zero: stack representations are priced by trace replay, so no kernel refuses for one
 	DeoptSlice     int64 // stopped at a budget-slice edge (SliceLimit): the scheduler preempts here
 	// ChainDispatches counts native-tier trampoline dispatches (one per
 	// closure-chain entry).
@@ -325,16 +325,13 @@ type Machine struct {
 	// or without one, and both engines emit identical event streams.
 	Obs *obs.Observer
 
-	// Policy, when non-nil, is the activation-stack strategy's shadow
-	// model (stackpolicy.go). Like Obs it is passive and nil-guarded:
-	// its costs accrue to its own StackStats ledger, never to Stats, so
-	// execution is bit-identical with or without one.
-	Policy StackPolicy
-
 	// ContMode selects the machine-checked one-shot/multi-shot reuse
-	// contract on cut continuations; contSeen tracks, per run, which
-	// continuations have been cut to when the mode is not unchecked.
+	// contract on cut continuations (contmode.go); contSeen tracks, per
+	// run, which continuations have been cut to when the mode is not
+	// unchecked. Stack is the representation the run declares: only the
+	// multi-shot check reads it, and execution never does.
 	ContMode ContMode
+	Stack    obs.StackKind
 	contSeen map[contKey]bool
 
 	// Runtime hooks installed by the loader.
@@ -351,8 +348,8 @@ type Machine struct {
 	// clean instruction boundary — counters flushed, PC at the next
 	// unexecuted instruction — and Run returns ErrSlicePaused. Calling
 	// Run again continues the same logical run for another slice: the
-	// divergence backstop, the stack policy's position state, and the
-	// seen-continuation set all persist until the run halts or traps.
+	// divergence backstop and the seen-continuation set persist until
+	// the run halts or traps.
 	// The exact pause point is engine-dependent (the native engine
 	// pauses between straight-line runs, so a run may overshoot the
 	// edge by a few instructions) but deterministic per engine, and the
@@ -462,9 +459,9 @@ var ErrSlicePaused = errors.New("machine paused at slice boundary")
 func (m *Machine) Paused() bool { return m.paused }
 
 // beginRun is both engines' entry bookkeeping. A fresh run rebases the
-// divergence backstop and resets the per-run policy and continuation-
-// identity state; resuming from a slice pause does neither, because a
-// sliced run is one logical run. Either way the slice edge is re-armed:
+// divergence backstop and resets the per-run continuation-identity
+// state; resuming from a slice pause does neither, because a sliced run
+// is one logical run. Either way the slice edge is re-armed:
 // each Run call gets a full SliceLimit allowance.
 func (m *Machine) beginRun() {
 	m.halted = false
@@ -472,7 +469,7 @@ func (m *Machine) beginRun() {
 		m.paused = false
 	} else {
 		m.runStart = m.Stats.Instrs
-		m.beginPolicyRun()
+		clear(m.contSeen)
 	}
 	if m.SliceLimit > 0 {
 		m.sliceEdge = m.Stats.Instrs + m.SliceLimit
@@ -639,13 +636,10 @@ func (m *Machine) Step() error {
 		}
 		if in.Mark == MarkCut {
 			// The compiled cut sequence has already loaded the target sp
-			// into RSP, so the reuse check and the policy hook see the
-			// continuation's own (pc, sp) identity.
+			// into RSP, so the reuse check sees the continuation's own
+			// (pc, sp) identity.
 			if msg := m.cutViolation(idx, m.Regs[RSP]); msg != "" {
 				return m.trapf("%s", msg)
-			}
-			if m.Policy != nil {
-				m.Policy.OnCut(idx, m.Regs[RSP])
 			}
 			if m.Obs != nil {
 				m.Obs.Emit(obs.Event{Kind: obs.KCutTo, Ts: m.Stats.Cycles, Instr: m.Stats.Instrs,
@@ -658,9 +652,6 @@ func (m *Machine) Step() error {
 		next = in.Target
 		m.Stats.Cycles += m.Cost.Call
 		m.Stats.Calls++
-		if m.Policy != nil {
-			m.Policy.OnCall(m.Regs[RSP])
-		}
 		if m.Obs != nil {
 			m.Obs.Emit(obs.Event{Kind: obs.KCall, Ts: m.Stats.Cycles, Instr: m.Stats.Instrs,
 				PC: int32(m.PC), SP: m.Regs[RSP], A: uint64(in.Target)})
@@ -681,9 +672,6 @@ func (m *Machine) Step() error {
 		if !ok {
 			return m.trapf("indirect call to non-code address %#x", m.reg(in.Rs))
 		}
-		if m.Policy != nil {
-			m.Policy.OnCall(m.Regs[RSP])
-		}
 		if m.Obs != nil {
 			m.Obs.Emit(obs.Event{Kind: obs.KCall, Ts: m.Stats.Cycles, Instr: m.Stats.Instrs,
 				PC: int32(m.PC), SP: m.Regs[RSP], A: uint64(idx)})
@@ -697,9 +685,6 @@ func (m *Machine) Step() error {
 		next = idx + int(in.Imm)
 		m.Stats.Cycles += m.Cost.Ret
 		m.Stats.Branches++
-		if m.Policy != nil {
-			m.Policy.OnReturn(m.Regs[RSP])
-		}
 		if m.Obs != nil {
 			k := obs.KReturn
 			if in.Mark == MarkAltReturn {
@@ -711,9 +696,6 @@ func (m *Machine) Step() error {
 	case OpYield:
 		m.Stats.Cycles += m.Cost.Yield
 		m.Stats.Yields++
-		if m.Policy != nil {
-			m.Policy.OnYield(m.Regs[RSP])
-		}
 		if m.Obs != nil {
 			m.Obs.Emit(obs.Event{Kind: obs.KYield, Ts: m.Stats.Cycles, Instr: m.Stats.Instrs,
 				PC: int32(m.PC), SP: m.Regs[RSP], A: m.Regs[RA0]})

@@ -539,9 +539,6 @@ func compileTerm(pc int, in *Instr) natFn {
 					st.trapErr = &TrapError{PC: pc, Msg: msg}
 					return natTrapDone // transfer costs already charged, like Step
 				}
-				if p := m.Policy; p != nil {
-					p.OnCut(idx, st.regs[RSP])
-				}
 				if o := m.Obs; o != nil {
 					o.Emit(obs.Event{Kind: obs.KCutTo, Ts: st.acct.ts(), Instr: st.acct.total,
 						PC: int32(pc), SP: st.regs[RSP], A: uint64(idx)})
@@ -554,9 +551,6 @@ func compileTerm(pc int, in *Instr) natFn {
 		ra := CodeAddr(pc + 1)
 		return func(st *natState) int {
 			st.regs[RRA] = ra
-			if p := st.m.Policy; p != nil {
-				p.OnCall(st.regs[RSP])
-			}
 			if o := st.m.Obs; o != nil {
 				o.Emit(obs.Event{Kind: obs.KCall, Ts: st.acct.ts(), Instr: st.acct.total,
 					PC: int32(pc), SP: st.regs[RSP], A: uint64(target)})
@@ -586,9 +580,6 @@ func compileTerm(pc int, in *Instr) natFn {
 				st.trapErr = &TrapError{PC: pc, Msg: fmt.Sprintf("indirect call to non-code address %#x", v)}
 				return natTrapDone // transfer costs already charged, like Step
 			}
-			if p := st.m.Policy; p != nil {
-				p.OnCall(st.regs[RSP])
-			}
 			if o := st.m.Obs; o != nil {
 				o.Emit(obs.Event{Kind: obs.KCall, Ts: st.acct.ts(), Instr: st.acct.total,
 					PC: int32(pc), SP: st.regs[RSP], A: uint64(idx)})
@@ -606,9 +597,6 @@ func compileTerm(pc int, in *Instr) natFn {
 				return st.trapAt(pc, "return with corrupt ra %#x", ra)
 			}
 			next := idx + off
-			if p := st.m.Policy; p != nil {
-				p.OnReturn(st.regs[RSP])
-			}
 			if o := st.m.Obs; o != nil {
 				k := obs.KReturn
 				if mark == MarkAltReturn {
@@ -624,9 +612,6 @@ func compileTerm(pc int, in *Instr) natFn {
 			m := st.m
 			st.acct.flush(m, pc)
 			m.Stats.Yields++
-			if p := m.Policy; p != nil {
-				p.OnYield(st.regs[RSP])
-			}
 			if o := m.Obs; o != nil {
 				o.Emit(obs.Event{Kind: obs.KYield, Ts: m.Stats.Cycles, Instr: m.Stats.Instrs,
 					PC: int32(pc), SP: st.regs[RSP], A: st.regs[RA0]})

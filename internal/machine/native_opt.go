@@ -748,8 +748,6 @@ func kernelHandback(st *natState, h int, k, instrs int64, reason uint64) {
 		t.DeoptBudget++
 	case obs.DeoptObserver:
 		t.DeoptObserver++
-	case obs.DeoptPolicy:
-		t.DeoptPolicy++
 	case obs.DeoptSlice:
 		t.DeoptSlice++
 	}
@@ -872,14 +870,6 @@ func matchPush(p *natProg, code []Instr, cost Costs, h, j int) (natFn, string) {
 			// The calls in the cycle must emit observer events, so the
 			// kernel stands down for the whole activation.
 			kernelHandback(st, h, 0, 0, obs.DeoptObserver)
-			return orig(st)
-		}
-		if p := st.m.Policy; p != nil && p.Kind() != StackContig {
-			// The calls in the cycle must drive the stack policy's
-			// per-transfer hooks, so non-contiguous policies run on the
-			// chains. (Contig's hooks are no-ops; counted loops never
-			// move sp and stay kernel-eligible under every policy.)
-			kernelHandback(st, h, 0, 0, obs.DeoptPolicy)
 			return orig(st)
 		}
 		st.acct.add(&neg)
@@ -1072,13 +1062,6 @@ func matchPop(p *natProg, code []Instr, cost Costs, h, j int) (natFn, string) {
 			// The returns in the cycle must emit observer events, so the
 			// kernel stands down for the whole activation.
 			kernelHandback(st, h, 0, 0, obs.DeoptObserver)
-			return orig(st)
-		}
-		if p := st.m.Policy; p != nil && p.Kind() != StackContig {
-			// The returns must drive the policy's per-transfer hooks
-			// (chunk underflows happen here), so non-contiguous policies
-			// run on the chains.
-			kernelHandback(st, h, 0, 0, obs.DeoptPolicy)
 			return orig(st)
 		}
 		st.acct.add(&neg)

@@ -68,7 +68,7 @@ type Metrics struct {
 	Engine     map[string]int64 `json:"engine,omitempty"`
 	// StackName and Stack carry the activation-stack policy ledger
 	// (cut/capture/resume counts and the policy's simulated-cycle
-	// overhead). Both are omitted unless RecordStackPolicy was called,
+	// overhead). Both are omitted unless RecordStackStats was called,
 	// for the same reason the engine section is opt-in: the counters
 	// above are representation-independent and default exports stay
 	// byte-identical across policies.
@@ -166,12 +166,6 @@ func (o *Observer) Metrics() *Metrics {
 			"deopt_observer":   t.DeoptObserver,
 			"chain_dispatches": t.ChainDispatches,
 		}
-		// Only a non-contiguous stack policy can force kernel stand-
-		// downs; the key appears only when one did, keeping pre-policy
-		// telemetry goldens byte-identical.
-		if t.DeoptPolicy != 0 {
-			m.Engine["deopt_stack_policy"] = t.DeoptPolicy
-		}
 		// Slice-edge deopts exist only under a scheduler's budget slices;
 		// the key appears only then, keeping unsliced goldens identical.
 		if t.DeoptSlice != 0 {
@@ -208,9 +202,8 @@ func (o *Observer) Metrics() *Metrics {
 			h["sched_cut_depth"] = snapshotHistogram(s.CutDepths)
 		}
 	}
-	if o.haveSPS {
-		s := o.sps
-		m.StackName = s.Policy
+	if s := o.stack; s != nil {
+		m.StackName = s.Kind.String()
 		m.Stack = map[string]int64{
 			"policy_cycles": s.PolicyCycles,
 			"cuts":          s.Cuts,

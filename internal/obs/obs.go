@@ -133,7 +133,6 @@ const (
 	DeoptTrap      = 2 // stopped at a memory bound so a potential trap runs on the chains
 	DeoptBudget    = 3 // stopped at the instruction-budget edge
 	DeoptObserver  = 4 // kernel refused to run: an observer needs the cycle's events
-	DeoptPolicy    = 5 // kernel refused to run: a non-contiguous stack policy needs the cycle's hooks
 	DeoptSlice     = 6 // stopped at a budget-slice edge: the scheduler preempts here
 )
 
@@ -148,8 +147,6 @@ func DeoptName(r uint64) string {
 		return "budget-edge"
 	case DeoptObserver:
 		return "observer"
-	case DeoptPolicy:
-		return "stack-policy"
 	case DeoptSlice:
 		return "slice-edge"
 	}
@@ -207,8 +204,8 @@ type Observer struct {
 	haveMC      bool
 	et          EngineTelemetry
 	haveET      bool
-	sps         StackPolicyStats
-	haveSPS     bool
+	stack       *StackStats
+	runs        []RunMark
 	ss          SchedStats
 	haveSS      bool
 }
@@ -304,7 +301,6 @@ type EngineTelemetry struct {
 	DeoptTrap       int64
 	DeoptBudget     int64
 	DeoptObserver   int64
-	DeoptPolicy     int64
 	DeoptSlice      int64
 	ChainDispatches int64
 }
@@ -365,35 +361,13 @@ func (o *Observer) RecordSched(s SchedStats) {
 	o.haveSS = true
 }
 
-// StackPolicyStats mirrors the machine's activation-stack policy ledger
-// (machine.StackStats) plus its histogram samples, so exporters can
-// render the stack section without obs importing the machine. Like
-// EngineTelemetry it is representation-dependent: the same program
-// produces different stack stats under contig, seg, copy, and hybrid.
-type StackPolicyStats struct {
-	Policy       string // "contig", "seg", "copy", or "hybrid"
-	PolicyCycles int64
-	Cuts         int64
-	Captures     int64
-	Resumes      int64
-	CaptureWords int64
-	Overflows    int64
-	Underflows   int64
-	SegmentsPeak int64
-	// CaptureSizes holds one sample per continuation snapshot (words);
-	// SegmentCounts one sample per yield/cut (live chunks). They feed
-	// the capture_words and segments histograms in the metrics export.
-	CaptureSizes  []int64
-	SegmentCounts []int64
-}
-
-// RecordStackPolicy snapshots the stack-policy ledger into the observer.
-// It surfaces as the metrics export's "stack" section, present only
-// after this call — keeping the default metrics JSON policy-independent
-// (and byte-identical to pre-policy goldens).
-func (o *Observer) RecordStackPolicy(s StackPolicyStats) {
-	o.sps = s
-	o.haveSPS = true
+// RecordStackStats snapshots a stack-representation ledger (from
+// StackStats) into the observer. It surfaces as the metrics export's
+// "stack" section plus capture_words/segments histograms, present only
+// after this call — keeping the default metrics JSON representation-
+// independent (and byte-identical to pre-stack-model goldens).
+func (o *Observer) RecordStackStats(s StackStats) {
+	o.stack = &s
 }
 
 // Span is one compile-pass interval on the observer's compile timeline,

@@ -288,7 +288,10 @@ func TestTextTrace(t *testing.T) {
 
 func TestProfileAttribution(t *testing.T) {
 	o := cutScenario()
-	p := o.Profile()
+	p, err := o.Profile()
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Timeline: 0..10 main's caller ([top] covers the stub), 10..30 f's
 	// caller is main... careful: KCall at Ts pushes the callee, so
 	// 0..10 main on top, 10..30 f on top, 30..60 g on top, 60..80 main
@@ -345,7 +348,10 @@ func TestProfileRecursion(t *testing.T) {
 	o.Emit(Event{Kind: KReturn, Ts: 30, SP: 800})
 	o.Emit(Event{Kind: KReturn, Ts: 40, SP: 900})
 	o.Emit(Event{Kind: KReturn, Ts: 50, SP: 1000})
-	p := o.Profile()
+	p, err := o.Profile()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, pr := range p.Procs {
 		if pr.Name == "rec" {
 			if pr.Cum != 50 {
@@ -450,5 +456,23 @@ func TestDeoptChromeInstant(t *testing.T) {
 	}
 	if !bytes.Contains(buf.Bytes(), []byte("deopt budget-edge k=128")) {
 		t.Errorf("chrome trace lacks the deopt instant:\n%s", buf.String())
+	}
+}
+
+// A replayed stack ledger surfaces as the metrics export's stack
+// section and histograms only once recorded.
+func TestStackMetrics(t *testing.T) {
+	o := cutScenario()
+	if m := o.Metrics(); m.StackName != "" || m.Stack != nil {
+		t.Errorf("metrics have a stack section without RecordStackStats: %q %v", m.StackName, m.Stack)
+	}
+	o.RecordStackStats(StackStats{Kind: StackHybrid, Cuts: 1, Captures: 1, CaptureWords: 11,
+		CaptureSizes: []int64{11}, SegmentCounts: []int64{1}})
+	m := o.Metrics()
+	if m.StackName != "hybrid" || m.Stack["cuts"] != 1 || m.Stack["capture_words"] != 11 {
+		t.Errorf("stack section = %q %v", m.StackName, m.Stack)
+	}
+	if m.Histograms["capture_words"].Count != 1 || m.Histograms["segments"].Count != 1 {
+		t.Errorf("stack histograms missing: %v", m.Histograms)
 	}
 }

@@ -34,11 +34,16 @@ type Profile struct {
 
 const topFrame = "[top]"
 
-// Profile builds the profile from the observer's trace.
-func (o *Observer) Profile() *Profile {
+// Profile builds the profile from the observer's trace. It refuses a
+// truncated trace (see TraceComplete): cycles after the buffer filled
+// would be missing from every row.
+func (o *Observer) Profile() (*Profile, error) {
+	if err := o.TraceComplete(); err != nil {
+		return nil, err
+	}
 	p := &Profile{folded: map[string]int64{}}
 	if len(o.Trace) == 0 {
-		return p
+		return p, nil
 	}
 	self := map[string]int64{}
 	cum := map[string]int64{}
@@ -114,7 +119,7 @@ func (o *Observer) Profile() *Profile {
 		}
 		return p.Procs[i].Name < p.Procs[j].Name
 	})
-	return p
+	return p, nil
 }
 
 // Folded renders the folded-stacks form: one "frame;frame;frame cycles"

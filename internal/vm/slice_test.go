@@ -1,11 +1,13 @@
 package vm
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
 	"cmm/internal/codegen"
 	"cmm/internal/machine"
+	"cmm/internal/obs"
 	"cmm/internal/paper"
 )
 
@@ -51,6 +53,44 @@ func TestRunWithSliceEquivalence(t *testing.T) {
 	}
 }
 
+// TestStackReplaySlicedRunIsOneRun: a sliced run is one logical run, so
+// the observer marks only its Start, and every stack representation
+// prices it exactly like the unsliced run. (Marking each slice resume
+// would reset seg's chunk position mid-descent and re-bill the links.)
+func TestStackReplaySlicedRunIsOneRun(t *testing.T) {
+	cp := compile(t, paper.Fig2Cut, codegen.Options{})
+	for _, eng := range vmEngines {
+		t.Run(eng.name, func(t *testing.T) {
+			replays := func(opts ...Option) []obs.StackStats {
+				o := obs.New()
+				inst, err := NewInstance(cp, append(opts, WithEngine(eng.e), WithObserver(o))...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := run1(t, inst, "f", 256); got != 42 {
+					t.Fatalf("f(256) = %d, want 42", got)
+				}
+				var out []obs.StackStats
+				for _, k := range obs.StackKinds {
+					s, err := o.StackStats(k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					out = append(out, s)
+				}
+				return out
+			}
+			whole, sliced := replays(), replays(WithSlice(50))
+			if !reflect.DeepEqual(whole, sliced) {
+				t.Errorf("sliced run priced differently:\nwhole:  %+v\nsliced: %+v", whole, sliced)
+			}
+			if seg := whole[obs.StackSeg]; seg.Overflows == 0 {
+				t.Errorf("f(256) never crossed a chunk edge under seg, so slicing is untested: %+v", seg)
+			}
+		})
+	}
+}
+
 // TestStartStepSlice drives the scheduler's unit of work by hand: Start
 // arranges the call without running, each StepSlice retires about one
 // slice, and Results reads the answer after done.
@@ -85,8 +125,8 @@ func TestStartStepSlice(t *testing.T) {
 }
 
 // TestCloneIsolation: a clone is an independent instance — fresh
-// globals re-initialised from the image, fresh counters, its own stack
-// policy — while sharing the immutable program.
+// globals re-initialised from the image, fresh counters, the same
+// declared stack representation — while sharing the immutable program.
 func TestCloneIsolation(t *testing.T) {
 	src := `
 bits32 counter = 10;
@@ -95,7 +135,7 @@ f(bits32 x) {
     return (counter);
 }
 `
-	proto := instance(t, src, WithStackPolicy(machine.StackSeg), WithContMode(machine.ContOneShot))
+	proto := instance(t, src, WithStackPolicy(obs.StackSeg), WithContMode(machine.ContOneShot))
 	if got := run1(t, proto, "f", 1); got != 11 {
 		t.Fatalf("proto first run: %d", got)
 	}
@@ -111,8 +151,8 @@ f(bits32 x) {
 	if got := run1(t, proto, "f", 1); got != 12 {
 		t.Errorf("proto state disturbed by clone: %d", got)
 	}
-	if clone.StackPolicyName() != proto.StackPolicyName() {
-		t.Errorf("clone policy %q, proto %q", clone.StackPolicyName(), proto.StackPolicyName())
+	if clone.M.Stack != proto.M.Stack || clone.M.ContMode != proto.M.ContMode {
+		t.Errorf("clone stack %v/%v, proto %v/%v", clone.M.Stack, clone.M.ContMode, proto.M.Stack, proto.M.ContMode)
 	}
 	if clone.EngineName() != proto.EngineName() {
 		t.Errorf("clone engine %q, proto %q", clone.EngineName(), proto.EngineName())

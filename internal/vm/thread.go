@@ -249,9 +249,9 @@ func (t *Thread) Resume() error {
 		if !ok {
 			return fmt.Errorf("SetCutToCont: %#x is not a continuation", t.cutK)
 		}
-		// The run-time cut shares the in-code cut's reuse contract and
-		// stack-policy hook; a one-shot/multi-shot violation traps here
-		// deterministically (the yield already flushed the counters).
+		// The run-time cut shares the in-code cut's reuse contract; a
+		// one-shot/multi-shot violation traps here deterministically
+		// (the yield already flushed the counters).
 		if err := m.NoteCut(idx, sp); err != nil {
 			return err
 		}
@@ -328,7 +328,6 @@ func (t *Thread) Resume() error {
 	m.Regs[machine.RSP] = a.sp
 	m.PC = pc
 	t.resumed = true
-	m.NoteUnwind(a.sp)
 	switch {
 	case t.haveIdx && t.unwindIdx >= 0:
 		t.emit(obs.KResumeUnwind, int32(pc), a.sp, uint64(t.unwindIdx), 0)

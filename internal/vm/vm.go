@@ -53,8 +53,7 @@ type config struct {
 	rts       RuntimeSystem
 	foreign   map[string]ForeignFunc
 	obs       *obs.Observer
-	stackKind machine.StackKind
-	haveStack bool
+	stackKind obs.StackKind
 	contMode  machine.ContMode
 	slice     int64
 }
@@ -82,14 +81,12 @@ func WithForeign(name string, f ForeignFunc) Option {
 // asserts this).
 func WithObserver(o *obs.Observer) Option { return func(c *config) { c.obs = o } }
 
-// WithStackPolicy attaches an activation-stack strategy's shadow model
-// (machine.StackContig/StackSeg/StackCopy/StackHybrid). Like observers,
-// policies are passive: results, traps, counters, and event streams are
-// bit-identical under every policy — only the policy's own StackStats
-// ledger differs. Without this option the machine runs the contiguous
-// layout with no ledger at all.
-func WithStackPolicy(k machine.StackKind) Option {
-	return func(c *config) { c.stackKind = k; c.haveStack = true }
+// WithStackPolicy declares the activation-stack representation the run
+// assumes (obs.StackContig by default). Only the multi-shot reuse check
+// reads it (WithContMode): execution is the same under every kind, and
+// any kind's ledger is a replay of an observed run (obs.StackStats).
+func WithStackPolicy(k obs.StackKind) Option {
+	return func(c *config) { c.stackKind = k }
 }
 
 // WithContMode selects the machine-checked one-shot/multi-shot reuse
@@ -155,9 +152,7 @@ func NewInstance(p *codegen.Program, opts ...Option) (*Instance, error) {
 		}
 	}
 	inst.stackTop = uint64(c.memSize) - 64
-	if c.haveStack {
-		m.Policy = machine.NewStackPolicy(c.stackKind, machine.StackConfig{StackTop: inst.stackTop})
-	}
+	m.Stack = c.stackKind
 	m.ContMode = c.contMode
 
 	inst.installRuntime()
@@ -246,7 +241,8 @@ func (inst *Instance) Run(proc string, args ...uint64) ([]uint64, error) {
 // Start arranges a call to the named procedure — zeroed registers, stack
 // pointer at the top, arguments in the a-registers, PC at the entry stub
 // — without executing anything. Drive it with StepSlice; Run is exactly
-// Start followed by StepSlice to completion.
+// Start followed by StepSlice to completion. Each Start is a fresh run:
+// the attached observer marks it, so stack replays reset there.
 func (inst *Instance) Start(proc string, args ...uint64) error {
 	stub, ok := inst.stubs[proc]
 	if !ok {
@@ -264,6 +260,9 @@ func (inst *Instance) Start(proc string, args ...uint64) error {
 		m.Regs[machine.RA0+machine.Reg(i)] = a
 	}
 	m.PC = stub
+	if inst.obs != nil {
+		inst.obs.BeginRun(inst.stackTop)
+	}
 	return nil
 }
 
@@ -306,7 +305,7 @@ func (inst *Instance) Precompile() { inst.M.Precompile() }
 
 // Clone builds an independent instance of the same loaded program: a
 // fresh machine with its own memory (data image and globals re-
-// initialised), registers, counters, and stack-policy state, sharing
+// initialised), registers, and counters, sharing
 // only the immutable program artifacts — code, entry stubs, procedure
 // tables, and the prototype's compiled engine caches (ShareArtifacts),
 // which are read-only during execution and therefore safe to share
@@ -328,12 +327,10 @@ func (inst *Instance) Clone() (*Instance, error) {
 	m.MaxInstrs = src.MaxInstrs
 	m.SliceLimit = src.SliceLimit
 	m.ContMode = src.ContMode
+	m.Stack = src.Stack
 	m.Code = src.Code
 	c.M = m
 	m.ShareArtifacts(src)
-	if src.Policy != nil {
-		m.Policy = machine.NewStackPolicy(src.Policy.Kind(), machine.StackConfig{StackTop: c.stackTop})
-	}
 	p := inst.P
 	copy(m.Mem[p.Img.Base:], p.Img.Bytes)
 	for name, addr := range p.GlobalAddr {
@@ -353,7 +350,7 @@ func (inst *Instance) Clone() (*Instance, error) {
 // boundary or before a Start — which is what makes it the scheduler's
 // cut-to-based cancellation: constant work, independent of how deep the
 // in-flight handler stack is. The cut shares the in-code cut's reuse
-// contract (ContMode) and stack-policy hooks, so a cancelled one-shot
+// contract (ContMode) and its event, so a cancelled one-shot
 // continuation traps deterministically like any other reuse.
 func (inst *Instance) CancelCut(global string, params ...uint64) error {
 	t := &Thread{inst: inst}
@@ -413,14 +410,11 @@ func (inst *Instance) StackDepth() int {
 // Stats exposes the machine's counters.
 func (inst *Instance) Stats() machine.Counters { return inst.M.Stats }
 
-// ResetStats zeroes the counters, the engine telemetry, and the stack-
-// policy ledger (between benchmark phases).
+// ResetStats zeroes the counters and the engine telemetry (between
+// benchmark phases).
 func (inst *Instance) ResetStats() {
 	inst.M.Stats = machine.Counters{}
 	inst.M.Telem = machine.Telemetry{}
-	if inst.M.Policy != nil {
-		inst.M.Policy.ResetStats()
-	}
 }
 
 // Telemetry exposes the machine's engine-introspection counters (kernel
@@ -477,41 +471,7 @@ func (inst *Instance) RecordEngineTelemetry() {
 		DeoptTrap:       t.DeoptTrap,
 		DeoptBudget:     t.DeoptBudget,
 		DeoptObserver:   t.DeoptObserver,
-		DeoptPolicy:     t.DeoptPolicy,
 		DeoptSlice:      t.DeoptSlice,
 		ChainDispatches: t.ChainDispatches,
-	})
-}
-
-// StackStats exposes the attached stack policy's ledger (zero without
-// one — the contiguous layout has no bookkeeping to account).
-func (inst *Instance) StackStats() machine.StackStats { return inst.M.StackStats() }
-
-// StackPolicyName names the attached stack policy ("contig" when none).
-func (inst *Instance) StackPolicyName() string { return inst.M.StackPolicyName() }
-
-// RecordStackStats snapshots the stack-policy ledger and its histogram
-// samples into the attached observer: the metrics export grows a "stack"
-// section plus capture_words/segments histograms. Opt-in (a no-op
-// without both an observer and a policy) because the section is
-// representation-dependent while the rest of the export is not.
-func (inst *Instance) RecordStackStats() {
-	p := inst.M.Policy
-	if inst.obs == nil || p == nil {
-		return
-	}
-	s := p.Stats()
-	inst.obs.RecordStackPolicy(obs.StackPolicyStats{
-		Policy:        p.Name(),
-		PolicyCycles:  s.PolicyCycles,
-		Cuts:          s.Cuts,
-		Captures:      s.Captures,
-		Resumes:       s.Resumes,
-		CaptureWords:  s.CaptureWords,
-		Overflows:     s.Overflows,
-		Underflows:    s.Underflows,
-		SegmentsPeak:  s.SegmentsPeak,
-		CaptureSizes:  p.CaptureSizes(),
-		SegmentCounts: p.SegmentCounts(),
 	})
 }

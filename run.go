@@ -70,47 +70,46 @@ const (
 	EngineRef = machine.EngineRef
 )
 
-// StackPolicy selects the activation-stack strategy's shadow model for
-// Native machines. The machine always executes the canonical contiguous
-// layout — results, traps, retired counters, and observer event streams
-// are bit-identical under every policy — while the chosen strategy
-// replays the run's control transfers against its own representation and
-// accrues capture/resume/overflow costs into a separate StackStats
-// ledger. See STACKS.md for the catalogue.
-type StackPolicy = machine.StackKind
+// StackKind names an activation-stack representation (a stack policy).
+// The machine always executes the canonical contiguous layout —
+// results, traps, retired counters, and observer event streams never
+// depend on the representation — and Machine.StackStats prices any of
+// the four by replaying an observed run's control transfers against it.
+// See STACKS.md for the catalogue.
+type StackKind = obs.StackKind
 
 const (
 	// StackContig is the default contiguous descending stack: O(1)
 	// push/pop/cut, one-shot continuations.
-	StackContig = machine.StackContig
+	StackContig = obs.StackContig
 	// StackSeg links fixed-size chunks, paying overflow/underflow links
 	// at chunk edges; one-shot continuations.
-	StackSeg = machine.StackSeg
+	StackSeg = obs.StackSeg
 	// StackCopy snapshots a continuation's frames at first cut and
 	// restores the copy on every re-cut; multi-shot.
-	StackCopy = machine.StackCopy
+	StackCopy = obs.StackCopy
 	// StackHybrid keeps frames older than the newest handler frame
 	// segmented and younger frames contiguous; multi-shot with small
 	// captures.
-	StackHybrid = machine.StackHybrid
+	StackHybrid = obs.StackHybrid
 )
 
-// ParseStackPolicy parses a CLI spelling ("contig", "seg", "copy",
+// ParseStackKind parses a CLI spelling ("contig", "seg", "copy",
 // "hybrid").
-func ParseStackPolicy(name string) (StackPolicy, error) {
-	return machine.StackPolicyByName(name)
+func ParseStackKind(name string) (StackKind, error) {
+	return obs.StackKindByName(name)
 }
 
-// StackStats is a stack policy's ledger: the simulated-cycle overhead
-// its representation would add (PolicyCycles) plus cut/capture/resume/
-// overflow counts. It is kept apart from Stats so the cost model's
-// counters stay policy-independent.
-type StackStats = machine.StackStats
+// StackStats is a representation's ledger: the simulated-cycle overhead
+// it would add (PolicyCycles), cut/capture/resume/overflow counts, and
+// the capture-size and live-segment samples. It is kept apart from Stats
+// so the cost model's counters stay representation-independent.
+type StackStats = obs.StackStats
 
 // ContMode is the machine-checked reuse contract on cut continuations:
 // unchecked (default), one-shot (second cut to the same continuation
-// traps), or multi-shot (re-cuts allowed only under a policy that keeps
-// a snapshot to re-resume — StackCopy or StackHybrid).
+// traps), or multi-shot (re-cuts allowed only when the declared stack
+// policy keeps a snapshot to re-resume — StackCopy or StackHybrid).
 type ContMode = machine.ContMode
 
 const (
@@ -148,8 +147,7 @@ type RunConfig struct {
 	Dispatcher Dispatcher
 	Foreigns   map[string]Foreign
 	Observer   *Observer
-	Stack      StackPolicy
-	StackSet   bool // distinguishes explicit StackContig from no policy
+	Stack      StackKind // the representation ContMultiShot checks against
 	Cont       ContMode
 }
 
@@ -173,12 +171,12 @@ func WithDispatcher(d Dispatcher) RunOption { return func(c *RunConfig) { c.Disp
 // histograms; it changes nothing about the simulated execution itself.
 func WithObserver(o *Observer) RunOption { return func(c *RunConfig) { c.Observer = o } }
 
-// WithStackPolicy attaches an activation-stack strategy to Native
-// machines (Interp ignores the option). Policies are passive shadow
-// models: execution is bit-identical under every policy, and the
-// strategy's own costs accrue to Machine.StackStats.
-func WithStackPolicy(k StackPolicy) RunOption {
-	return func(c *RunConfig) { c.Stack = k; c.StackSet = true }
+// WithStackPolicy declares the activation-stack representation of
+// Native machines (StackContig by default; Interp ignores the option).
+// Only the multi-shot reuse check reads it: execution is the same under
+// every policy, and Machine.StackStats prices any of them.
+func WithStackPolicy(k StackKind) RunOption {
+	return func(c *RunConfig) { c.Stack = k }
 }
 
 // WithContMode selects the one-shot/multi-shot reuse contract on cut
@@ -333,12 +331,7 @@ func (m *Module) Native(cc CompileConfig, opts ...RunOption) (*Machine, error) {
 	if c.Observer != nil {
 		vopts = append(vopts, vm.WithObserver(c.Observer))
 	}
-	if c.StackSet {
-		vopts = append(vopts, vm.WithStackPolicy(c.Stack))
-	}
-	if c.Cont != ContUnchecked {
-		vopts = append(vopts, vm.WithContMode(c.Cont))
-	}
+	vopts = append(vopts, vm.WithStackPolicy(c.Stack), vm.WithContMode(c.Cont))
 	if c.Dispatcher != nil {
 		d := c.Dispatcher
 		vopts = append(vopts, vm.WithRuntime(vm.RuntimeFunc(
@@ -394,19 +387,18 @@ func (mc *Machine) EngineName() string { return mc.inst.EngineName() }
 // engine-independent. A no-op without an observer.
 func (mc *Machine) RecordEngineTelemetry() { mc.inst.RecordEngineTelemetry() }
 
-// StackStats reports the attached stack policy's ledger (zero without
-// one — the default contiguous layout keeps no ledger).
-func (mc *Machine) StackStats() StackStats { return mc.inst.StackStats() }
-
-// StackPolicyName names the attached stack policy ("contig" when none).
-func (mc *Machine) StackPolicyName() string { return mc.inst.StackPolicyName() }
-
-// RecordStackStats snapshots the stack-policy ledger into the attached
-// observer, adding the representation-dependent "stack" section and the
-// capture_words/segments histograms to the metrics export. Opt-in for
-// the same reason as RecordEngineTelemetry; a no-op without both an
-// observer and a policy.
-func (mc *Machine) RecordStackStats() { mc.inst.RecordStackStats() }
+// StackStats prices representation k over every run recorded by the
+// attached observer, by replaying its event trace. It fails without an
+// observer, and when the trace dropped events (a partial ledger would
+// under-count). Observer.RecordStackStats adds the result to the
+// metrics export.
+func (mc *Machine) StackStats(k StackKind) (StackStats, error) {
+	o := mc.inst.Observer()
+	if o == nil {
+		return StackStats{}, fmt.Errorf("stack stats for %s need an observer: attach one with WithObserver", k)
+	}
+	return o.StackStats(k)
+}
 
 // KernelCandidate is one cycle the native distiller considered: the
 // kernel shape that matched (with its closed form) or the precise reason
