@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"cmm"
@@ -13,9 +12,11 @@ import (
 
 // The golden files in testdata/bench/ pin the simulated cycles of every
 // optimizer workload at -O0 and -O2. Cycles are deterministic, so any
-// mismatch is a real perf or semantics regression, not noise. The files
-// are regenerated by `go run ./cmd/cmmbench -olevels -write-goldens
-// testdata/bench` or by rerunning this test with CMM_UPDATE_GOLDENS=1.
+// mismatch is a real perf or semantics regression, not noise, and this
+// exact comparison is the repository's only simulated-cycle gate. The
+// files are regenerated by rerunning this test with
+// CMM_UPDATE_GOLDENS=1; `go run ./cmd/cmmbench -olevels` prints the same
+// numbers as the EXPERIMENTS.md table.
 
 // workloadCycles mirrors cmmbench's runner: fresh module, ApplyOpt at
 // level != 0, Native at the workload's ablation config, one run.
@@ -30,17 +31,13 @@ func workloadCycles(t *testing.T, w paper.CycleWorkload, level int) int64 {
 			t.Fatal(err)
 		}
 	}
+	d, err := cmm.ParseDispatcher(w.Dispatcher)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var opts []cmm.RunOption
-	switch {
-	case w.Dispatcher == "":
-	case w.Dispatcher == "unwind":
-		opts = append(opts, cmm.WithDispatcher(cmm.NewUnwindDispatcher()))
-	case strings.HasPrefix(w.Dispatcher, "exnstack:"):
-		opts = append(opts, cmm.WithDispatcher(cmm.NewExnStackDispatcher(strings.TrimPrefix(w.Dispatcher, "exnstack:"))))
-	case strings.HasPrefix(w.Dispatcher, "register:"):
-		opts = append(opts, cmm.WithDispatcher(cmm.NewRegisterDispatcher(strings.TrimPrefix(w.Dispatcher, "register:"))))
-	default:
-		t.Fatalf("unknown dispatcher spec %q", w.Dispatcher)
+	if d != nil {
+		opts = append(opts, cmm.WithDispatcher(d))
 	}
 	mach, err := mod.Native(cmm.CompileConfig{
 		TestAndBranch: w.TestAndBranch,

@@ -264,12 +264,12 @@ func writeSched(out *os.File) error {
 	fmt.Fprintf(out, "## M:N scheduler — %d handler-rich requests over host-goroutine pools\n\n", rep.Tasks)
 	fmt.Fprint(out, table)
 	if *jsonOut != "" {
-		if err := writeJSONReport([]string{"native"}, map[string]any{"sched": rep}); err != nil {
+		if err := writeJSON("sched", rep); err != nil {
 			return err
 		}
 	}
 	if *updateExp != "" {
-		if err := spliceSchedMarkers(*updateExp, table); err != nil {
+		if err := spliceMarkers(*updateExp, schedBeginMarker, schedEndMarker, table); err != nil {
 			return err
 		}
 	}
@@ -277,7 +277,7 @@ func writeSched(out *os.File) error {
 }
 
 // schedMarkers bracket the region of EXPERIMENTS.md that -sched
-// -update-experiments regenerates, cmmstacks-style.
+// -update-experiments regenerates.
 const (
 	schedBeginMarker = "<!-- cmmsched:begin -->"
 	schedEndMarker   = "<!-- cmmsched:end -->"
@@ -295,20 +295,4 @@ func renderSchedTable(rep schedReport) string {
 	}
 	fmt.Fprintf(&b, "\nRecorded on a %d-CPU host; speedups beyond that core count are bounded\nby the hardware, not the scheduler (CI regenerates this table on its\nown runner).\n", runtime.NumCPU())
 	return b.String()
-}
-
-// spliceSchedMarkers rewrites the marker-delimited region of path.
-func spliceSchedMarkers(path, body string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	text := string(data)
-	begin := strings.Index(text, schedBeginMarker)
-	end := strings.Index(text, schedEndMarker)
-	if begin < 0 || end < 0 || end < begin {
-		return fmt.Errorf("%s: markers %q/%q not found", path, schedBeginMarker, schedEndMarker)
-	}
-	out := text[:begin+len(schedBeginMarker)] + "\n" + body + text[end:]
-	return os.WriteFile(path, []byte(out), 0o644)
 }

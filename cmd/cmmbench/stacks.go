@@ -59,7 +59,7 @@ func runStackRows(w paper.CycleWorkload) ([]stackRow, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s: %v", w.Name, err)
 	}
-	d, err := workloadDispatcher(w.Dispatcher)
+	d, err := cmm.ParseDispatcher(w.Dispatcher)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %v", w.Name, err)
 	}
@@ -120,7 +120,7 @@ func measureStacks() ([]stackRow, error) {
 }
 
 // stackMarkers bracket the region of EXPERIMENTS.md that -stacks
-// -update-experiments regenerates, cmmreport-style.
+// -update-experiments regenerates.
 const (
 	stackBeginMarker = "<!-- cmmstacks:begin -->"
 	stackEndMarker   = "<!-- cmmstacks:end -->"
@@ -159,22 +159,6 @@ func renderStacksTable(rows []stackRow) string {
 	return b.String()
 }
 
-// spliceStackMarkers rewrites the marker-delimited region of path.
-func spliceStackMarkers(path, body string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	text := string(data)
-	begin := strings.Index(text, stackBeginMarker)
-	end := strings.Index(text, stackEndMarker)
-	if begin < 0 || end < 0 || end < begin {
-		return fmt.Errorf("%s: markers %q/%q not found", path, stackBeginMarker, stackEndMarker)
-	}
-	out := text[:begin+len(stackBeginMarker)] + "\n" + body + text[end:]
-	return os.WriteFile(path, []byte(out), 0o644)
-}
-
 func writeStacks(out *os.File) error {
 	rows, err := measureStacks()
 	if err != nil {
@@ -185,12 +169,12 @@ func writeStacks(out *os.File) error {
 	fmt.Fprintln(out)
 	fmt.Fprint(out, table)
 	if *jsonOut != "" {
-		if err := writeJSONReport([]string{"native"}, map[string]any{"stacks": rows}); err != nil {
+		if err := writeJSON("stacks", rows); err != nil {
 			return err
 		}
 	}
 	if *updateExp != "" {
-		if err := spliceStackMarkers(*updateExp, table); err != nil {
+		if err := spliceMarkers(*updateExp, stackBeginMarker, stackEndMarker, table); err != nil {
 			return err
 		}
 	}

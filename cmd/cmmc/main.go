@@ -93,7 +93,11 @@ func main() {
 		fmt.Printf("-O%d: %s\n", *optLevel, summary)
 	}
 	var opts []cmm.RunOption
-	if d := makeDispatcher(*dispatcher); d != nil {
+	d, err := cmm.ParseDispatcher(*dispatcher)
+	if err != nil {
+		fatal(err)
+	}
+	if d != nil {
 		opts = append(opts, cmm.WithDispatcher(d))
 	} else if *minim3Pol != "" {
 		if d := minim3Dispatcher(*minim3Pol); d != nil {
@@ -176,21 +180,6 @@ func minim3Dispatcher(spec string) cmm.Dispatcher {
 		return cmm.NewUnwindDispatcher()
 	}
 	return nil // native: dispatch is entirely generated code
-}
-
-func makeDispatcher(spec string) cmm.Dispatcher {
-	switch {
-	case spec == "":
-		return nil
-	case spec == "unwind":
-		return cmm.NewUnwindDispatcher()
-	case strings.HasPrefix(spec, "exnstack:"):
-		return cmm.NewExnStackDispatcher(strings.TrimPrefix(spec, "exnstack:"))
-	case strings.HasPrefix(spec, "register:"):
-		return cmm.NewRegisterDispatcher(strings.TrimPrefix(spec, "register:"))
-	}
-	fatal(fmt.Errorf("unknown dispatcher %q", spec))
-	return nil
 }
 
 func parseArgs(s string) []uint64 {

@@ -138,16 +138,12 @@ func main() {
 	}
 
 	var opts []cmm.RunOption
-	switch {
-	case *dispatcher == "":
-	case *dispatcher == "unwind":
-		opts = append(opts, cmm.WithDispatcher(cmm.NewUnwindDispatcher()))
-	case strings.HasPrefix(*dispatcher, "exnstack:"):
-		opts = append(opts, cmm.WithDispatcher(cmm.NewExnStackDispatcher(strings.TrimPrefix(*dispatcher, "exnstack:")))) //nolint
-	case strings.HasPrefix(*dispatcher, "register:"):
-		opts = append(opts, cmm.WithDispatcher(cmm.NewRegisterDispatcher(strings.TrimPrefix(*dispatcher, "register:"))))
-	default:
+	d, err := cmm.ParseDispatcher(*dispatcher)
+	if err != nil {
 		fatal("flags", badFlag("dispatcher", *dispatcher, "unwind", "exnstack:<global>", "register:<global>"))
+	}
+	if d != nil {
+		opts = append(opts, cmm.WithDispatcher(d))
 	}
 	if observer != nil {
 		opts = append(opts, cmm.WithObserver(observer))

@@ -1,6 +1,7 @@
 package cmm_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -197,6 +198,36 @@ g() {
 		}
 		if res[0] != 42 {
 			t.Errorf("%s: f() = %v", target, res)
+		}
+	}
+}
+
+// TestParseDispatcher: every spec form builds the dispatcher its
+// constructor would, and a malformed spec fails naming the accepted
+// forms.
+func TestParseDispatcher(t *testing.T) {
+	for _, tc := range []struct {
+		spec string
+		want cmm.Dispatcher
+	}{
+		{"", nil},
+		{"unwind", cmm.NewUnwindDispatcher()},
+		{"exnstack:exn_top", cmm.NewExnStackDispatcher("exn_top")},
+		{"register:handler", cmm.NewRegisterDispatcher("handler")},
+	} {
+		got, err := cmm.ParseDispatcher(tc.spec)
+		if err != nil {
+			t.Errorf("ParseDispatcher(%q): %v", tc.spec, err)
+			continue
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("ParseDispatcher(%q) = %#v, want %#v", tc.spec, got, tc.want)
+		}
+	}
+	for _, spec := range []string{"bogus", "unwind:x", "exnstack", "register:"} {
+		_, err := cmm.ParseDispatcher(spec)
+		if err == nil || !strings.Contains(err.Error(), "unwind, exnstack:<global>, register:<global>") {
+			t.Errorf("ParseDispatcher(%q) = %v, want an error naming the accepted forms", spec, err)
 		}
 	}
 }

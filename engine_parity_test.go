@@ -3,7 +3,8 @@
 // cycles/op, instrs/op, memory traffic — is bit-identical to the
 // reference engine, so engine choice can never perturb the paper's
 // numbers. Each case below is a benchmark source from bench_test.go run
-// on both engines with identical inputs.
+// on both engines with identical inputs; the paper.CycleWorkloads
+// sources run at -O0 and -O2 in TestOptLevelEngineParity instead.
 package cmm_test
 
 import (
@@ -12,19 +13,30 @@ import (
 
 	"cmm"
 	"cmm/internal/minim3"
-	"cmm/internal/paper"
 )
 
+// runEngineCase compiles src at cc (applying the -O level cc.Opt
+// names), installs the run-time system the dispatcher spec names, and
+// runs proc three times on one machine on engine e.
 func runEngineCase(t *testing.T, src string, cc cmm.CompileConfig, e cmm.Engine,
-	disp func() cmm.Dispatcher, proc string, args ...uint64) ([][]uint64, cmm.Stats) {
+	dispatcher string, proc string, args ...uint64) ([][]uint64, cmm.Stats) {
 	t.Helper()
 	mod, err := cmm.Load(src)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if cc.Opt != 0 {
+		if _, err := mod.ApplyOpt(cc.Opt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d, err := cmm.ParseDispatcher(dispatcher)
+	if err != nil {
+		t.Fatal(err)
+	}
 	opts := []cmm.RunOption{cmm.WithEngine(e)}
-	if disp != nil {
-		opts = append(opts, cmm.WithDispatcher(disp()))
+	if d != nil {
+		opts = append(opts, cmm.WithDispatcher(d))
 	}
 	mach, err := mod.Native(cc, opts...)
 	if err != nil {
@@ -41,49 +53,42 @@ func runEngineCase(t *testing.T, src string, cc cmm.CompileConfig, e cmm.Engine,
 	return results, mach.Stats()
 }
 
+// compareEngineCase runs one case on both engines: every run's results
+// and the accumulated simulated counters must be bit-identical.
+func compareEngineCase(t *testing.T, src string, cc cmm.CompileConfig, dispatcher string, proc string, args ...uint64) {
+	t.Helper()
+	refRes, refStats := runEngineCase(t, src, cc, cmm.EngineRef, dispatcher, proc, args...)
+	gotRes, gotStats := runEngineCase(t, src, cc, cmm.EngineNative, dispatcher, proc, args...)
+	for i := range refRes {
+		if fmt.Sprint(refRes[i]) != fmt.Sprint(gotRes[i]) {
+			t.Fatalf("run %d: ref %v native %v", i, refRes[i], gotRes[i])
+		}
+	}
+	if refStats != gotStats {
+		t.Errorf("counter mismatch:\nref:    %+v\nnative: %+v", refStats, gotStats)
+	}
+}
+
+// TestBenchFiguresEngineParity covers the benchmark sources that are not
+// paper.CycleWorkloads (those run in TestOptLevelEngineParity).
 func TestBenchFiguresEngineParity(t *testing.T) {
 	cases := []struct {
 		name string
 		src  string
 		cc   cmm.CompileConfig
-		disp func() cmm.Dispatcher
 		proc string
 		args []uint64
 	}{
-		{"Figure1_Sp1", paper.Figure1, cmm.CompileConfig{}, nil, "sp1", []uint64{20}},
-		{"Figure1_Sp2", paper.Figure1, cmm.CompileConfig{}, nil, "sp2", []uint64{20}},
-		{"Figure1_Sp3", paper.Figure1, cmm.CompileConfig{}, nil, "sp3", []uint64{20}},
-		{"Figure2_CutTo", fig2CutSrc, cmm.CompileConfig{}, nil, "f", []uint64{256}},
-		{"Figure2_SetCutToCont", fig2RuntimeCutSrc, cmm.CompileConfig{},
-			func() cmm.Dispatcher { return cmm.NewRegisterDispatcher("handler") }, "f", []uint64{32}},
-		{"Figure2_SetUnwindCont", fig2RuntimeUnwindSrc, cmm.CompileConfig{},
-			func() cmm.Dispatcher { return cmm.NewUnwindDispatcher() }, "f", []uint64{32}},
-		{"Figure2_ReturnMN", fig2NativeUnwindSrc, cmm.CompileConfig{}, nil, "f", []uint64{32}},
-		{"Figure2_CPS", fig2CPSSrc, cmm.CompileConfig{}, nil, "f", []uint64{32}},
-		{"Fig34_BranchTable", fig34Src, cmm.CompileConfig{}, nil, "f", []uint64{1000}},
-		{"Fig34_TestAndBranch", fig34Src, cmm.CompileConfig{TestAndBranch: true}, nil, "f", []uint64{1000}},
-		{"Setjmp_Sparc19", setjmpSrc(19), cmm.CompileConfig{NoCalleeSaves: true}, nil, "enter", []uint64{100, 0x10000}},
-		{"NativeCut2", nativeCutScopeSrc, cmm.CompileConfig{NoCalleeSaves: true}, nil, "enter", []uint64{100, 0}},
-		{"CalleeSaves_Used", calleeSavesSrc, cmm.CompileConfig{}, nil, "kernel", []uint64{200}},
-		{"CalleeSaves_KilledByCutEdges", calleeSavesCutSrc, cmm.CompileConfig{}, nil, "kernel", []uint64{200}},
-		{"Div_Fast", divSrc, cmm.CompileConfig{}, nil, "fast", []uint64{200, 3}},
-		{"Div_Solid", divSrc, cmm.CompileConfig{}, nil, "solid", []uint64{200, 3}},
-		{"Opt_None", optSrc, cmm.CompileConfig{}, nil, "f", []uint64{100}},
+		{"Figure2_CPS", fig2CPSSrc, cmm.CompileConfig{}, "f", []uint64{32}},
+		{"Setjmp_Sparc19", setjmpSrc(19), cmm.CompileConfig{NoCalleeSaves: true}, "enter", []uint64{100, 0x10000}},
+		{"NativeCut2", nativeCutScopeSrc, cmm.CompileConfig{NoCalleeSaves: true}, "enter", []uint64{100, 0}},
+		{"Div_Fast", divSrc, cmm.CompileConfig{}, "fast", []uint64{200, 3}},
+		{"Div_Solid", divSrc, cmm.CompileConfig{}, "solid", []uint64{200, 3}},
+		{"Opt_None", optSrc, cmm.CompileConfig{}, "f", []uint64{100}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			refRes, refStats := runEngineCase(t, tc.src, tc.cc, cmm.EngineRef, tc.disp, tc.proc, tc.args...)
-			gotRes, gotStats := runEngineCase(t, tc.src, tc.cc, cmm.EngineNative, tc.disp, tc.proc, tc.args...)
-			for i := range refRes {
-				for j := range refRes[i] {
-					if refRes[i][j] != gotRes[i][j] {
-						t.Fatalf("iter %d result %d: ref %d native %d", i, j, refRes[i][j], gotRes[i][j])
-					}
-				}
-			}
-			if refStats != gotStats {
-				t.Errorf("counter mismatch:\nref:    %+v\nnative: %+v", refStats, gotStats)
-			}
+			compareEngineCase(t, tc.src, tc.cc, "", tc.proc, tc.args...)
 		})
 	}
 }

@@ -2,11 +2,12 @@ package paper
 
 // This file declares the fixed cycle workloads behind the "-O0 vs -O2"
 // optimizer evaluation: the named benchmark programs whose simulated
-// cycles/op are tracked by golden files in testdata/bench/, regenerated
-// into EXPERIMENTS.md by cmd/cmmbench -olevels, and diffed in CI. The
-// package holds data only (sources and run recipes); the runners live
-// with their callers, because simulated cycles are deterministic — the
-// same workload yields the same count everywhere.
+// cycles/op are pinned by golden files in testdata/bench/ (checked by
+// the root package's TestBenchGoldens) and printed for EXPERIMENTS.md by
+// cmd/cmmbench -olevels. The package holds data only (sources and run
+// recipes); the runners live with their callers, because simulated
+// cycles are deterministic — the same workload yields the same count
+// everywhere.
 
 // CalleeSavesKernel keeps four values live across a call in a loop: the
 // §4.2 register-pressure kernel. With callee-saves registers the values
@@ -89,7 +90,7 @@ func wantVal(v uint64) *uint64 { return &v }
 
 // CycleWorkloads is the fixed benchmark set of the optimizer
 // evaluation, in report order. Names are stable: they key the golden
-// files in testdata/bench/ and the rows of BENCH_pr5.json.
+// files in testdata/bench/ and the rows of the cmmbench -olevels table.
 var CycleWorkloads = []CycleWorkload{
 	{Name: "figure1_sp1", Src: Figure1, Proc: "sp1", Args: []uint64{20}, Want: wantVal(210)},
 	{Name: "figure1_sp2", Src: Figure1, Proc: "sp2", Args: []uint64{20}, Want: wantVal(210)},

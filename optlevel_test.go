@@ -183,48 +183,53 @@ func TestOptLevelDifferentialSweep(t *testing.T) {
 	}
 }
 
-// TestOptLevelEngineParity reruns every optimizer workload at -O2 on
-// both engines: results and every simulated cost counter must be
-// bit-identical, so the optimization layer cannot introduce an
+// scaledArgs replaces each workload's golden arguments with sizes that
+// retire 20k–3M simulated instructions per run (deep recursion, long
+// loops) while staying inside the default 4 MiB memory, so engine
+// parity is also checked well past the golden inputs.
+var scaledArgs = map[string][]uint64{
+	"figure1_sp1":            {5000},
+	"figure1_sp2":            {5000},
+	"figure1_sp3":            {5000},
+	"fig2_cut_to":            {2048},
+	"fig2_set_cut_to_cont":   {2048},
+	"fig2_set_unwind_cont":   {2048},
+	"fig2_return_mn":         {2048},
+	"fig34_branch_table":     {100000},
+	"fig34_test_and_branch":  {100000},
+	"callee_saves_used":      {5000},
+	"callee_saves_cut_edges": {5000},
+	"opt_handler_rich":       {2000},
+}
+
+// TestOptLevelEngineParity runs every optimizer workload, dispatcher-
+// driven ones included, at -O0 and -O2 and at both its golden and its
+// scaled arguments on both engines: the results of three runs on one
+// machine and every simulated cost counter must be bit-identical, so
+// neither the optimization layer nor a run-time system can introduce an
 // engine-dependent path.
 func TestOptLevelEngineParity(t *testing.T) {
 	for _, w := range paper.CycleWorkloads {
 		w := w
-		if w.Dispatcher != "" {
-			// Dispatcher-driven workloads are covered by the golden tests;
-			// here we need deterministic single-engine reruns.
-			continue
-		}
 		t.Run(w.Name, func(t *testing.T) {
-			run := func(e cmm.Engine) ([]uint64, cmm.Stats) {
-				mod, err := cmm.Load(w.Src)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := mod.ApplyOpt(2); err != nil {
-					t.Fatal(err)
-				}
-				mach, err := mod.Native(cmm.CompileConfig{
-					TestAndBranch: w.TestAndBranch,
-					NoCalleeSaves: w.NoCalleeSaves,
-					Opt:           2,
-				}, cmm.WithEngine(e))
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err := mach.Run(w.Proc, w.Args...)
-				if err != nil {
-					t.Fatalf("engine %v: %v", e, err)
-				}
-				return res, mach.Stats()
+			scaled, ok := scaledArgs[w.Name]
+			if !ok {
+				t.Fatalf("no scaled arguments for %s", w.Name)
 			}
-			refRes, refStats := run(cmm.EngineRef)
-			gotRes, gotStats := run(cmm.EngineNative)
-			if fmt.Sprint(refRes) != fmt.Sprint(gotRes) {
-				t.Errorf("result mismatch: ref %v native %v", refRes, gotRes)
-			}
-			if refStats != gotStats {
-				t.Errorf("counter mismatch at -O2:\nref:    %+v\nnative: %+v", refStats, gotStats)
+			for _, level := range []int{0, 2} {
+				for _, size := range []struct {
+					name string
+					args []uint64
+				}{{"golden", w.Args}, {"scaled", scaled}} {
+					t.Run(fmt.Sprintf("O%d/%s", level, size.name), func(t *testing.T) {
+						cc := cmm.CompileConfig{
+							TestAndBranch: w.TestAndBranch,
+							NoCalleeSaves: w.NoCalleeSaves,
+							Opt:           level,
+						}
+						compareEngineCase(t, w.Src, cc, w.Dispatcher, w.Proc, size.args...)
+					})
+				}
 			}
 		})
 	}

@@ -2,6 +2,7 @@ package cmm
 
 import (
 	"fmt"
+	"strings"
 
 	"cmm/internal/codegen"
 	"cmm/internal/dispatch"
@@ -98,6 +99,24 @@ const (
 // "hybrid").
 func ParseStackKind(name string) (StackKind, error) {
 	return obs.StackKindByName(name)
+}
+
+// ParseDispatcher builds the run-time system a CLI or workload spec
+// names: "" (none; the result is nil), "unwind", "exnstack:<global>" or
+// "register:<global>".
+func ParseDispatcher(spec string) (Dispatcher, error) {
+	kind, global, _ := strings.Cut(spec, ":")
+	switch {
+	case spec == "":
+		return nil, nil
+	case spec == "unwind":
+		return NewUnwindDispatcher(), nil
+	case kind == "exnstack" && global != "":
+		return NewExnStackDispatcher(global), nil
+	case kind == "register" && global != "":
+		return NewRegisterDispatcher(global), nil
+	}
+	return nil, fmt.Errorf("unknown dispatcher %q (valid dispatchers: unwind, exnstack:<global>, register:<global>)", spec)
 }
 
 // StackStats is a representation's ledger: the simulated-cycle overhead
