@@ -8,11 +8,15 @@
 // Examples:
 //
 //	cmmc -run sp1 -args 10 figure1.cmm
-//	cmmc -opt -disasm f -stats -run f -args 3 prog.cmm
+//	cmmc -O 1 -disasm f -stats -run f -args 3 prog.cmm
 //	cmmc -dispatcher unwind -run TryAMove game.cmm
-//	cmmc -passes -timings -opt prog.cmm
-//	cmmc -dump-after=opt -proc f prog.cmm
+//	cmmc -passes -timings -O 1 prog.cmm
+//	cmmc -O 1 -dump-after=opt -proc f prog.cmm
+//	cmmc -explain -O 2 prog.cmm
 //	cmmc -minim3 cutting -timings -run run_Main prog.mm
+//
+// A MiniM3 input runs under the run-time system its policy needs;
+// -dispatcher overrides it.
 package main
 
 import (
@@ -29,7 +33,6 @@ import (
 var (
 	runProc    = flag.String("run", "", "procedure to run")
 	argList    = flag.String("args", "", "comma-separated integer arguments")
-	doOpt      = flag.Bool("opt", false, "run the scalar optimizer first (same IR passes as -O 1)")
 	optLevel   = flag.Int("O", 0, "optimization level: 0 baseline, 1 scalar+frame optimizations, 2 adds interprocedural pruning and return peepholes")
 	disasm     = flag.String("disasm", "", "disassemble a procedure")
 	stats      = flag.Bool("stats", false, "print cost-model counters after running")
@@ -46,7 +49,7 @@ var (
 	diags     = flag.Bool("diags", false, "print structured diagnostics (notes included) after compiling")
 	vet       = flag.Bool("vet", false, "run the §4 well-formedness verifier; verifier errors fail the load (see VERIFIER.md)")
 	vetStrict = flag.Bool("vet-strict", false, "with -vet, also flag provably useless annotations")
-	explainK  = flag.Bool("explain-kernels", false, "print the native distiller's kernel report after compiling: matched cycle shapes and the precise rejection reason for the rest (no run needed)")
+	explain   = flag.Bool("explain", false, "print the native distiller's kernel report after compiling: matched cycle shapes and the precise rejection reason for the rest (no run needed)")
 )
 
 func main() {
@@ -72,7 +75,11 @@ func main() {
 	}
 	var mod *cmm.Module
 	if *minim3Pol != "" {
-		mod, err = cmm.LoadMiniM3With(string(src), parsePolicy(*minim3Pol), lc)
+		policy, perr := cmm.ParseExceptionPolicy(*minim3Pol)
+		if perr != nil {
+			fatal(perr)
+		}
+		mod, err = cmm.LoadMiniM3With(string(src), policy, lc)
 	} else {
 		mod, err = cmm.LoadWith(string(src), lc)
 	}
@@ -81,9 +88,6 @@ func main() {
 	}
 	if *passes {
 		printPasses()
-	}
-	if *doOpt {
-		fmt.Println("optimizer:", mod.Optimize())
 	}
 	if *optLevel != 0 {
 		summary, err := mod.ApplyOpt(*optLevel)
@@ -99,10 +103,6 @@ func main() {
 	}
 	if d != nil {
 		opts = append(opts, cmm.WithDispatcher(d))
-	} else if *minim3Pol != "" {
-		if d := minim3Dispatcher(*minim3Pol); d != nil {
-			opts = append(opts, cmm.WithDispatcher(d))
-		}
 	}
 	mach, err := mod.Native(cmm.CompileConfig{
 		TestAndBranch: *testBranch,
@@ -119,7 +119,7 @@ func main() {
 		}
 		fmt.Print(text)
 	}
-	if *explainK {
+	if *explain {
 		fmt.Print(mach.KernelReport().Format(mach.ProcAt))
 	}
 	if *runProc != "" {
@@ -130,13 +130,15 @@ func main() {
 		}
 		fmt.Printf("%s(%v) result registers: %v\n", *runProc, args, res)
 		if *stats {
-			s := mach.Stats()
-			fmt.Printf("cycles=%d instrs=%d loads=%d stores=%d branches=%d calls=%d yields=%d\n",
-				s.Cycles, s.Instrs, s.Loads, s.Stores, s.Branches, s.Calls, s.Yields)
+			fmt.Println(mach.Stats())
 		}
 	}
 	for _, pass := range lc.DumpAfter {
-		for _, proc := range mod.DumpAfterProcs(pass) {
+		procs := mod.DumpAfterProcs(pass)
+		if len(procs) == 0 {
+			fatal(fmt.Errorf("no snapshot after pass %q (did the pass run? -O 1 enables opt, -O 2 interproc)", pass))
+		}
+		for _, proc := range procs {
 			text, _ := mod.DumpAfter(pass, proc)
 			fmt.Printf("=== %s after %s ===\n%s", proc, pass, text)
 		}
@@ -155,31 +157,6 @@ func printPasses() {
 	for _, name := range cmm.PassNames() {
 		fmt.Println(name)
 	}
-}
-
-func parsePolicy(spec string) cmm.ExceptionPolicy {
-	switch spec {
-	case "cutting":
-		return cmm.StackCutting
-	case "unwinding":
-		return cmm.RuntimeUnwinding
-	case "native":
-		return cmm.NativeUnwinding
-	}
-	fatal(fmt.Errorf("unknown MiniM3 policy %q (want cutting, unwinding, or native)", spec))
-	panic("unreachable")
-}
-
-// minim3Dispatcher installs the runtime each MiniM3 policy requires (the
-// names match the globals the MiniM3 emitter declares).
-func minim3Dispatcher(spec string) cmm.Dispatcher {
-	switch spec {
-	case "cutting":
-		return cmm.NewExnStackDispatcher("mm_exn_top")
-	case "unwinding":
-		return cmm.NewUnwindDispatcher()
-	}
-	return nil // native: dispatch is entirely generated code
 }
 
 func parseArgs(s string) []uint64 {

@@ -1,12 +1,14 @@
 // Command cmmdump prints a procedure's Abstract C-- flow graph
-// (Table 2), its SSA numbering (the Figure 6 presentation), its
-// live-variable sets, or a pipeline snapshot of the IR after a named
-// pass.
+// (Table 2), its SSA numbering (the Figure 6 presentation), or its
+// live-variable sets. For the IR after a named pass, use
+// cmmc -dump-after.
 //
 // Usage:
 //
-//	cmmdump [-opt] [-proc name] [-ssa|-live|-graph] file.cmm
-//	cmmdump -after=opt -proc f file.cmm
+//	cmmdump [-O level] [-proc name] [-ssa] [-live] file.cmm
+//	cmmdump -minim3 cutting -emit-cmm game.m3
+//
+// The flow graph prints unless -ssa or -live is given.
 package main
 
 import (
@@ -15,17 +17,16 @@ import (
 	"os"
 
 	"cmm"
+	"cmm/internal/diag"
 )
 
 var (
-	proc    = flag.String("proc", "", "procedure to dump (default: all)")
-	ssa     = flag.Bool("ssa", false, "print the SSA numbering (Figure 6)")
-	live    = flag.Bool("live", false, "print live-variable sets")
-	graph   = flag.Bool("graph", true, "print the flow graph (Table 2 nodes)")
-	doOpt   = flag.Bool("opt", false, "run the optimizer first")
-	m3pol   = flag.String("minim3", "", "treat input as MiniM3 and compile under policy: cutting, unwinding, native")
-	emitCmm = flag.Bool("emit-cmm", false, "with -minim3: print the generated C-- source")
-	after   = flag.String("after", "", "print the pipeline snapshot of the IR after this pass (see cmmc -passes)")
+	proc     = flag.String("proc", "", "procedure to dump (default: all)")
+	ssa      = flag.Bool("ssa", false, "print the SSA numbering (Figure 6)")
+	live     = flag.Bool("live", false, "print live-variable sets")
+	optLevel = flag.Int("O", 0, "optimize first at this level, as cmmc -O does (0, 1, or 2)")
+	m3pol    = flag.String("minim3", "", "treat input as MiniM3 and compile under policy: cutting, unwinding, native")
+	emitCmm  = flag.Bool("emit-cmm", false, "with -minim3: print the generated C-- source")
 )
 
 func main() {
@@ -41,16 +42,9 @@ func main() {
 	}
 	src := string(data)
 	if *m3pol != "" {
-		var policy cmm.ExceptionPolicy
-		switch *m3pol {
-		case "cutting":
-			policy = cmm.StackCutting
-		case "unwinding":
-			policy = cmm.RuntimeUnwinding
-		case "native":
-			policy = cmm.NativeUnwinding
-		default:
-			fatal(fmt.Errorf("unknown policy %q", *m3pol))
+		policy, err := cmm.ParseExceptionPolicy(*m3pol)
+		if err != nil {
+			fatal(err)
 		}
 		src, err = cmm.CompileMiniM3(src, policy)
 		if err != nil {
@@ -61,41 +55,23 @@ func main() {
 			return
 		}
 	}
-	lc := cmm.LoadConfig{File: flag.Arg(0), DumpProc: *proc}
-	if *after != "" {
-		lc.DumpAfter = []string{*after}
-	}
-	mod, err := cmm.LoadWith(src, lc)
+	mod, err := cmm.LoadWith(src, cmm.LoadConfig{File: flag.Arg(0)})
 	if err != nil {
 		fatal(err)
 	}
-	if *doOpt {
-		fmt.Println("optimizer:", mod.Optimize())
-	}
-	if *after != "" {
-		// The codegen/link snapshots exist only once code is generated;
-		// the Abstract C-- ones are captured as the passes run.
-		if *after == "codegen" || *after == "link" {
-			if _, err := mod.Native(cmm.CompileConfig{}); err != nil {
-				fatal(err)
-			}
+	if *optLevel != 0 {
+		summary, err := mod.ApplyOpt(*optLevel)
+		if err != nil {
+			fatal(err)
 		}
-		procs := mod.DumpAfterProcs(*after)
-		if len(procs) == 0 {
-			fatal(fmt.Errorf("no snapshot after pass %q for %q (did the pass run? -opt enables opt)", *after, *proc))
-		}
-		for _, p := range procs {
-			text, _ := mod.DumpAfter(*after, p)
-			fmt.Printf("=== %s after %s ===\n%s", p, *after, text)
-		}
-		return
+		fmt.Printf("-O%d: %s\n", *optLevel, summary)
 	}
 	procs := mod.Procedures()
 	if *proc != "" {
 		procs = []string{*proc}
 	}
 	for _, p := range procs {
-		if *graph && !*ssa && !*live {
+		if !*ssa && !*live {
 			text, err := mod.DumpGraph(p)
 			if err != nil {
 				fatal(err)
@@ -119,7 +95,9 @@ func main() {
 	}
 }
 
+// fatal renders err through the structured-diagnostic renderer — the
+// same severity/pass format the compiler uses — and exits non-zero.
 func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "cmmdump:", err)
+	fmt.Fprintln(os.Stderr, diag.AsList(err, "cmmdump").String())
 	os.Exit(1)
 }

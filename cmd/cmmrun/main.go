@@ -14,8 +14,7 @@
 //
 //	cmmrun -run sp3 -args 10 figure1.cmm
 //	cmmrun -engine=native -stats -run sp3 -args 10 figure1.cmm
-//	cmmrun -engine=native -stats=json -run sp3 -args 10 figure1.cmm
-//	cmmrun -engine=native -explain -telemetry -run sp3 -args 10 figure1.cmm
+//	cmmrun -engine=native -explain -run sp3 -args 10 figure1.cmm
 //	cmmrun -engine=native -trace=run.json -metrics=m.json -profile=p.folded \
 //	    -dispatcher=unwind -run main raise.cmm
 //	cmmrun -engine=native -cpuprofile cpu.out -run f -args 1000 fig34.cmm
@@ -23,7 +22,8 @@
 // Observability: -trace writes the event stream (Chrome Trace Event
 // JSON by default — load it in chrome://tracing or Perfetto — or a
 // text log with -trace-format=text); -metrics writes named counters and
-// histograms as JSON; -profile writes a folded-stacks simulated-cycle
+// histograms as JSON (its counters section is the machine-readable form
+// of -stats); -profile writes a folded-stacks simulated-cycle
 // profile for flamegraph tools. All three work under every engine;
 // under interp, timestamps are abstract-machine transitions rather than
 // simulated cycles. -stack prices an activation-stack representation by
@@ -55,40 +55,13 @@ func badFlag(name, got string, valid ...string) error {
 	return fmt.Errorf("unknown -%s value %q (valid values: %s)", name, got, strings.Join(valid, ", "))
 }
 
-// statsValue lets -stats work both as a boolean (-stats → text) and as
-// a format selector (-stats=json).
-type statsValue struct {
-	set    bool
-	format string
-}
-
-func (v *statsValue) String() string { return v.format }
-
-func (v *statsValue) Set(s string) error {
-	switch s {
-	case "true", "text", "":
-		v.set, v.format = true, "text"
-	case "false":
-		v.set = false
-	case "json":
-		v.set, v.format = true, "json"
-	default:
-		return badFlag("stats", s, "text", "json")
-	}
-	return nil
-}
-
-func (v *statsValue) IsBoolFlag() bool { return true }
-
 var (
 	runProc     = flag.String("run", "main", "procedure to run")
 	argList     = flag.String("args", "", "comma-separated integer arguments")
-	doOpt       = flag.Bool("opt", false, "run the scalar optimizer first (same IR passes as -O 1)")
 	optLevel    = flag.Int("O", 0, "optimization level: 0 baseline, 1 scalar+frame optimizations, 2 adds interprocedural pruning and return peepholes")
-	steps       = flag.Bool("steps", false, "print the number of machine transitions (interp engine)")
 	dispatcher  = flag.String("dispatcher", "", "front-end runtime: unwind, exnstack:<global>, or register:<global>")
 	engine      = flag.String("engine", "interp", "execution engine: interp (§5 semantics), ref (reference stepper), or native (compiled closure chains)")
-	stats       statsValue
+	stats       = flag.Bool("stats", false, "print counters after the run: simulated costs under ref/native, transitions under interp")
 	traceOut    = flag.String("trace", "", "write an execution trace to this file")
 	traceFormat = flag.String("trace-format", "chrome", "trace format: chrome (Trace Event JSON) or text")
 	metricsOut  = flag.String("metrics", "", "write counters and histograms as JSON to this file")
@@ -96,14 +69,12 @@ var (
 	cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile  = flag.String("memprofile", "", "write a heap profile after the run to this file")
 	vet         = flag.Bool("vet", false, "run the §4 well-formedness verifier before running; verifier errors fail the load (see VERIFIER.md)")
-	explain     = flag.Bool("explain", false, "print the native distiller's kernel report before running: which candidate cycles matched a closed-form kernel, and the precise rejection reason for the rest")
-	telemetry   = flag.Bool("telemetry", false, "print engine-introspection counters after the run (kernel entries/iters, deopt buckets, chain dispatches; ref/native engines only, all zero under ref)")
+	explain     = flag.Bool("explain", false, "print the native distiller's kernel report before running (which candidate cycles matched a closed-form kernel, and the precise rejection reason for the rest) and, under ref/native, the engine telemetry after it (kernel entries/iters, deopt buckets, chain dispatches; all zero under ref)")
 	stackPolicy = flag.String("stack", "", "activation-stack policy: contig, seg, copy, or hybrid (machine engines only); observes the run, prints the policy's ledger priced by replaying the trace, adds the stack section to -metrics, and sets the representation -cont multishot checks")
-	contMode    = flag.String("cont", "", "continuation reuse contract: oneshot or multishot (machine engines only; violations trap deterministically)")
+	contMode    = flag.String("cont", "", "continuation reuse contract: unchecked (the default), oneshot or multishot (machine engines only; violations trap deterministically)")
 )
 
 func main() {
-	flag.Var(&stats, "stats", "print counters after the run: simulated costs under ref/native, transitions under interp; -stats=json for machine-readable output")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: cmmrun [flags] file.cmm")
@@ -120,9 +91,6 @@ func main() {
 	mod, err := cmm.LoadWith(string(src), cmm.LoadConfig{File: flag.Arg(0), Verify: *vet})
 	if err != nil {
 		fatal("compile", err)
-	}
-	if *doOpt {
-		fmt.Println("optimizer:", mod.Optimize())
 	}
 	if *optLevel != 0 {
 		summary, err := mod.ApplyOpt(*optLevel)
@@ -214,11 +182,8 @@ func main() {
 			fatal("run", err)
 		}
 		fmt.Printf("%s(%v) = %v\n", *runProc, args, res)
-		if *steps {
+		if *stats {
 			fmt.Printf("transitions: %d\n", in.Steps())
-		}
-		if stats.set {
-			printInterpStats(in)
 		}
 	case "ref", "native":
 		if *engine == "ref" {
@@ -247,10 +212,10 @@ func main() {
 			fatal("run", err)
 		}
 		fmt.Printf("%s(%v) = %v\n", *runProc, args, res)
-		if stats.set {
-			printMachineStats(mach)
+		if *stats {
+			fmt.Println(mach.Stats())
 		}
-		if *telemetry {
+		if *explain {
 			printTelemetry(mach)
 		}
 		if *stackPolicy != "" {
@@ -275,17 +240,6 @@ func main() {
 	}
 }
 
-func printMachineStats(mach *cmm.Machine) {
-	s := mach.Stats()
-	if stats.format == "json" {
-		fmt.Printf(`{"engine":%q,"opt":%d,"cycles":%d,"instrs":%d,"loads":%d,"stores":%d,"branches":%d,"calls":%d,"yields":%d}`+"\n",
-			*engine, *optLevel, s.Cycles, s.Instrs, s.Loads, s.Stores, s.Branches, s.Calls, s.Yields)
-		return
-	}
-	fmt.Printf("cycles: %d instrs: %d loads: %d stores: %d branches: %d calls: %d yields: %d\n",
-		s.Cycles, s.Instrs, s.Loads, s.Stores, s.Branches, s.Calls, s.Yields)
-}
-
 func printTelemetry(mach *cmm.Machine) {
 	t := mach.Telemetry()
 	fmt.Printf("telemetry[%s]: kernel entries: %d iters: %d instrs: %d | deopts cycle-exit: %d trap-edge: %d budget: %d observer: %d | dispatches: %d\n",
@@ -298,14 +252,6 @@ func printStackStats(s cmm.StackStats) {
 	fmt.Printf("stack[%s]: policy-cycles: %d cuts: %d captures: %d capture-words: %d resumes: %d overflows: %d underflows: %d segments-peak: %d\n",
 		s.Kind, s.PolicyCycles, s.Cuts, s.Captures, s.CaptureWords, s.Resumes,
 		s.Overflows, s.Underflows, s.SegmentsPeak)
-}
-
-func printInterpStats(in *cmm.Interp) {
-	if stats.format == "json" {
-		fmt.Printf(`{"engine":"interp","transitions":%d}`+"\n", in.Steps())
-		return
-	}
-	fmt.Printf("transitions: %d\n", in.Steps())
 }
 
 // writeObservations exports whatever the observer collected, even when

@@ -34,9 +34,17 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: cmmvet [-strict] [-minim3 policy] file...")
 		os.Exit(2)
 	}
+	var policy cmm.ExceptionPolicy
+	if *minim3Pol != "" {
+		var err error
+		if policy, err = cmm.ParseExceptionPolicy(*minim3Pol); err != nil {
+			fmt.Fprintln(os.Stderr, "cmmvet:", err)
+			os.Exit(2)
+		}
+	}
 	failed := false
 	for _, file := range flag.Args() {
-		if !vetFile(file) {
+		if !vetFile(file, policy) {
 			failed = true
 		}
 	}
@@ -45,10 +53,11 @@ func main() {
 	}
 }
 
-// vetFile loads and verifies one module, printing every finding in
-// structured diagnostic form. It reports whether the file is clean of
-// errors (warnings do not count against it).
-func vetFile(file string) bool {
+// vetFile loads and verifies one module (under policy when -minim3 is
+// set), printing every finding in structured diagnostic form. It
+// reports whether the file is clean of errors (warnings do not count
+// against it).
+func vetFile(file string, policy cmm.ExceptionPolicy) bool {
 	src, err := os.ReadFile(file)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cmmvet:", err)
@@ -57,7 +66,7 @@ func vetFile(file string) bool {
 	lc := cmm.LoadConfig{File: file}
 	var mod *cmm.Module
 	if *minim3Pol != "" {
-		mod, err = cmm.LoadMiniM3With(string(src), parsePolicy(*minim3Pol), lc)
+		mod, err = cmm.LoadMiniM3With(string(src), policy, lc)
 	} else {
 		mod, err = cmm.LoadWith(string(src), lc)
 	}
@@ -68,18 +77,4 @@ func vetFile(file string) bool {
 	ds := mod.Verify(*strict)
 	fmt.Print(ds.String())
 	return !ds.HasErrors()
-}
-
-func parsePolicy(spec string) cmm.ExceptionPolicy {
-	switch spec {
-	case "cutting":
-		return cmm.StackCutting
-	case "unwinding":
-		return cmm.RuntimeUnwinding
-	case "native":
-		return cmm.NativeUnwinding
-	}
-	fmt.Fprintf(os.Stderr, "cmmvet: unknown MiniM3 policy %q (want cutting, unwinding, or native)\n", spec)
-	os.Exit(2)
-	panic("unreachable")
 }

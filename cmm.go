@@ -43,6 +43,7 @@ import (
 // for any load.
 type Module struct {
 	sess *pipeline.Session
+	rt   Dispatcher // the front end's run-time system, installed unless WithDispatcher overrides it
 }
 
 // PassStat records one pass execution: wall time, procedures visited,
@@ -85,33 +86,42 @@ func Load(src string) (*Module, error) {
 
 // LoadWith is Load with configuration.
 func LoadWith(src string, lc LoadConfig) (*Module, error) {
-	pc := pipeline.Config{File: lc.File, Workers: lc.Workers, DumpAfter: lc.DumpAfter, DumpProc: lc.DumpProc,
-		Verify: lc.Verify, VerifyStrict: lc.VerifyStrict}
-	if err := pc.Validate(); err != nil {
-		return nil, err
-	}
-	sess := pipeline.New(src, pc)
-	if err := sess.Frontend(); err != nil {
-		return nil, err
-	}
-	return &Module{sess: sess}, nil
+	return load(lc, func(pc pipeline.Config) (*pipeline.Session, error) { return pipeline.New(src, pc), nil })
 }
 
 // LoadMiniM3 compiles MiniM3 source to C-- under the given policy and
 // loads the result, recording the front-end stages (m3-parse, m3-check,
-// m3-infer when pruning, m3-emit) in the module's pass stats.
+// m3-infer when pruning, m3-emit) in the module's pass stats. Interp and
+// Native install the run-time system the policy needs (the exception-
+// stack dispatcher for StackCutting, the Figure 9 unwinder for
+// RuntimeUnwinding) unless WithDispatcher overrides it.
 func LoadMiniM3(src string, policy ExceptionPolicy) (*Module, error) {
 	return LoadMiniM3With(src, policy, LoadConfig{})
 }
 
 // LoadMiniM3With is LoadMiniM3 with configuration.
 func LoadMiniM3With(src string, policy ExceptionPolicy, lc LoadConfig) (*Module, error) {
+	m, err := load(lc, func(pc pipeline.Config) (*pipeline.Session, error) {
+		return minim3.NewSession(src, policy, minim3.CompileOptions{Prune: true}, pc)
+	})
+	if err != nil {
+		return nil, err
+	}
+	if d := minim3.DispatcherFor(policy); d != nil {
+		m.rt = DispatcherFunc(d)
+	}
+	return m, nil
+}
+
+// load validates lc, opens a session with newSession and runs the
+// front-end passes.
+func load(lc LoadConfig, newSession func(pipeline.Config) (*pipeline.Session, error)) (*Module, error) {
 	pc := pipeline.Config{File: lc.File, Workers: lc.Workers, DumpAfter: lc.DumpAfter, DumpProc: lc.DumpProc,
 		Verify: lc.Verify, VerifyStrict: lc.VerifyStrict}
 	if err := pc.Validate(); err != nil {
 		return nil, err
 	}
-	sess, err := minim3.NewSession(src, policy, minim3.CompileOptions{Prune: true}, pc)
+	sess, err := newSession(pc)
 	if err != nil {
 		return nil, err
 	}

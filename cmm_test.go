@@ -95,6 +95,42 @@ func TestOptimizeFacade(t *testing.T) {
 	}
 }
 
+// TestNativeAfterOptimize: Native compiles the graphs as they are now.
+// Code compiled before an optimization is stale afterwards, so an
+// optimized module must compile to what a fresh load optimized first
+// compiles to.
+func TestNativeAfterOptimize(t *testing.T) {
+	const src = `f(bits32 x) { bits32 y, z; y = 3 + 4; z = y * 2; return (x + z); }`
+	for name, optimize := range map[string]func(*cmm.Module){
+		"Optimize":          func(m *cmm.Module) { m.Optimize() },
+		"OptimizeInterproc": func(m *cmm.Module) { m.OptimizeInterproc(); m.Optimize() },
+		"ApplyOpt(1)":       func(m *cmm.Module) { m.ApplyOpt(1) },
+	} {
+		codeSize := func(m *cmm.Module) int {
+			mach, err := m.Native(cmm.CompileConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res, err := mach.Run("f", 1); err != nil || res[0] != 15 {
+				t.Fatalf("f(1) = %v (%v), want 15", res, err)
+			}
+			return mach.CodeSize("f")
+		}
+		mod, err := cmm.Load(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := codeSize(mod)
+		optimize(mod)
+		after := codeSize(mod)
+		fresh, _ := cmm.Load(src)
+		optimize(fresh)
+		if want := codeSize(fresh); after != want || after >= before {
+			t.Errorf("%s: code size of f: %d before, %d after, %d from a fresh load optimized first", name, before, after, want)
+		}
+	}
+}
+
 func TestDumps(t *testing.T) {
 	mod, err := cmm.Load(figure1)
 	if err != nil {
@@ -228,6 +264,26 @@ func TestParseDispatcher(t *testing.T) {
 		_, err := cmm.ParseDispatcher(spec)
 		if err == nil || !strings.Contains(err.Error(), "unwind, exnstack:<global>, register:<global>") {
 			t.Errorf("ParseDispatcher(%q) = %v, want an error naming the accepted forms", spec, err)
+		}
+	}
+}
+
+// TestParseExceptionPolicy: each CLI spelling names its MiniM3 policy,
+// and anything else fails naming the accepted forms.
+func TestParseExceptionPolicy(t *testing.T) {
+	for name, want := range map[string]cmm.ExceptionPolicy{
+		"cutting":   cmm.StackCutting,
+		"unwinding": cmm.RuntimeUnwinding,
+		"native":    cmm.NativeUnwinding,
+	} {
+		if got, err := cmm.ParseExceptionPolicy(name); err != nil || got != want {
+			t.Errorf("ParseExceptionPolicy(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for _, name := range []string{"", "bogus", "native-unwind", "Cutting"} {
+		_, err := cmm.ParseExceptionPolicy(name)
+		if err == nil || !strings.Contains(err.Error(), "cutting, unwinding, native") {
+			t.Errorf("ParseExceptionPolicy(%q) = %v, want an error naming the accepted forms", name, err)
 		}
 	}
 }

@@ -249,6 +249,12 @@ type Counters struct {
 	Yields   int64
 }
 
+// String renders the counters as the one-line form the CLIs' -stats prints.
+func (c Counters) String() string {
+	return fmt.Sprintf("cycles: %d instrs: %d loads: %d stores: %d branches: %d calls: %d yields: %d",
+		c.Cycles, c.Instrs, c.Loads, c.Stores, c.Branches, c.Calls, c.Yields)
+}
+
 // Telemetry is the engine-introspection counter set: how the engine got
 // its work done, as opposed to Counters, which says what the simulated
 // program did. Telemetry is engine-dependent by design — the reference

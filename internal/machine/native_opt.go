@@ -34,7 +34,7 @@
 // decision is recorded: each candidate cycle yields one KernelCandidate
 // stating which shape matched (and its closed form) or the precise
 // reason it was rejected, surfaced through Machine.ExplainKernels and
-// the -explain flags of cmmrun/cmmc. At run time the installed kernels
+// the -explain flag of cmmrun and cmmc. At run time the installed kernels
 // feed Machine.Telem: entries, closed-form iterations, and a deopt
 // bucket per activation (see Telemetry in machine.go).
 

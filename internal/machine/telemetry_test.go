@@ -8,7 +8,7 @@ import (
 
 // Telemetry tests: the engine-introspection counters must be exact and
 // deterministic per (program, engine, budget) — they are the evidence
-// -telemetry and the metrics "engine" section print, so each deopt
+// cmmrun -explain and the metrics "engine" section print, so each deopt
 // bucket is pinned to a hand-built program that exercises exactly it.
 
 // runNativeTelem runs code on the native engine and returns the machine

@@ -34,9 +34,10 @@ type Runner struct {
 	inst *vm.Instance
 }
 
-// dispatcherFor returns the front-end run-time system each policy needs.
+// DispatcherFor returns the front-end run-time system each policy needs
+// (its exception stack is the global the cutting emitter declares).
 // PolicyNativeUnwind needs none: its dispatch is entirely generated code.
-func dispatcherFor(policy Policy) func(rts.Thread, []uint64) error {
+func DispatcherFor(policy Policy) func(rts.Thread, []uint64) error {
 	switch policy {
 	case PolicyCutting:
 		d := &dispatch.ExnStackDispatcher{ExnTopGlobal: "mm_exn_top"}
@@ -68,7 +69,7 @@ func NewRunnerWith(src string, policy Policy, backend Backend, copts CompileOpti
 	}
 	r.CmmSrc = sess.Source()
 	prog := sess.Program()
-	d := dispatcherFor(policy)
+	d := DispatcherFor(policy)
 	switch backend {
 	case BackendSem:
 		opts := []sem.Option{sem.WithMaxSteps(50_000_000)}

@@ -1,9 +1,9 @@
 // Package pipeline runs the compiler as a declared, ordered list of
 // named passes over a compilation session. Each pass operates on the
 // session's Abstract C-- program and declares what it reads and what it
-// invalidates; the session uses the declarations to keep cached analyses
-// (liveness) valid, recomputing them only when a transform pass has
-// destroyed them.
+// invalidates; the session uses the declarations to keep cached results
+// (liveness, the compiled code) valid, recomputing them only when a
+// transform pass has destroyed them.
 //
 // Per-procedure passes fan their work out across a worker pool:
 // compilation of independent procedures is embarrassingly parallel, and
@@ -17,7 +17,7 @@
 //
 // The session records wall time and IR-size deltas for every pass
 // (Stats) and can snapshot the IR after any pass (Config.DumpAfter),
-// which backs cmmc -passes/-timings/-dump-after and cmmdump -after.
+// which backs cmmc -passes/-timings/-dump-after.
 package pipeline
 
 import (
@@ -71,8 +71,8 @@ var passTable = []passDef{
 	{Name: PassTranslate, Reads: []string{"ast", "types"}, Invalidates: []string{"cfg", PassLiveness}},
 	{Name: PassVerify, Reads: []string{"cfg", "types"}},
 	{Name: PassLiveness, PerProc: true, Reads: []string{"cfg"}},
-	{Name: PassInterproc, Reads: []string{"cfg", "types"}, Invalidates: []string{PassLiveness}},
-	{Name: PassOpt, PerProc: true, Reads: []string{"cfg", "types", PassLiveness}, Invalidates: []string{PassLiveness}},
+	{Name: PassInterproc, Reads: []string{"cfg", "types"}, Invalidates: []string{PassLiveness, "code"}},
+	{Name: PassOpt, PerProc: true, Reads: []string{"cfg", "types", PassLiveness}, Invalidates: []string{PassLiveness, "code"}},
 	{Name: PassCodegen, PerProc: true, Reads: []string{"cfg", "types", PassLiveness}},
 	{Name: PassLink, Reads: []string{"code"}},
 }
@@ -101,7 +101,7 @@ type PassDecl struct {
 }
 
 // PassNames lists the pass names valid for Config.DumpAfter and
-// cmmdump -after.
+// cmmc -dump-after.
 func PassNames() []string {
 	var out []string
 	for _, p := range passTable {
@@ -520,7 +520,7 @@ func (s *Session) Liveness(proc string) (*dataflow.Liveness, error) {
 // pruning at provably quiet call sites and removal of the continuations
 // nothing references afterwards (opt.Interproc). It is a whole-program
 // pass — the summaries cross procedure boundaries — so it does not fan
-// out. It invalidates the liveness cache like any transform.
+// out. It invalidates the liveness and code caches like any transform.
 func (s *Session) Interproc() (opt.InterprocResult, error) {
 	var res opt.InterprocResult
 	if err := s.Frontend(); err != nil {
@@ -533,15 +533,15 @@ func (s *Session) Interproc() (opt.InterprocResult, error) {
 	if err != nil {
 		return res, s.fail(PassInterproc, err)
 	}
-	s.livenessValid = false
+	s.invalidate()
 	s.snapshotGraphs(PassInterproc)
 	return res, nil
 }
 
 // Optimize runs the §6 optimizer over every procedure (in parallel for
 // Workers > 1) and aggregates the per-procedure results in declaration
-// order. The pass invalidates the liveness cache: the graphs it rewrote
-// no longer match the analysis.
+// order. The pass invalidates the liveness and code caches: the graphs
+// it rewrote no longer match either.
 func (s *Session) Optimize() (opt.Result, error) {
 	return s.OptimizeWith(s.cfg.Opt)
 }
@@ -573,10 +573,16 @@ func (s *Session) OptimizeWith(o opt.Options) (opt.Result, error) {
 			total.Rounds = r.Rounds
 		}
 	}
-	// Declared invalidation: opt rewrites graphs, killing liveness.
-	s.livenessValid = false
+	s.invalidate()
 	s.snapshotGraphs(PassOpt)
 	return total, nil
+}
+
+// invalidate drops what a graph-rewriting pass makes stale, as passTable
+// declares: the liveness analysis and the code Codegen cached.
+func (s *Session) invalidate() {
+	s.livenessValid = false
+	s.code = nil
 }
 
 // Codegen compiles the program to machine code: the liveness analysis is
@@ -584,7 +590,8 @@ func (s *Session) OptimizeWith(o opt.Options) (opt.Result, error) {
 // parallel for Workers > 1), and a serial link phase places the chunks
 // in declaration order. The result is byte-identical to serial
 // codegen.Compile because both run exactly the same per-procedure and
-// link code.
+// link code. The result is cached until interproc or opt rewrites the
+// graphs.
 func (s *Session) Codegen() (*codegen.Program, error) {
 	if s.code != nil {
 		return s.code, nil

@@ -89,7 +89,8 @@ func TestDumpAfterFacade(t *testing.T) {
 }
 
 // TestLoadMiniM3Facade: a MiniM3 load records the m3-* front-end stages
-// ahead of the C-- passes and still runs under every policy.
+// ahead of the C-- passes, and runs under every policy on both targets
+// with the run-time system the policy installs: no dispatcher is passed.
 func TestLoadMiniM3Facade(t *testing.T) {
 	src := `
 exception Oops;
@@ -117,14 +118,7 @@ proc main(x) {
 		if !strings.HasPrefix(joined, "m3-parse m3-check m3-infer m3-emit parse check translate liveness") {
 			t.Errorf("policy %v: pass record = %v", pol, names)
 		}
-		var opts []cmm.RunOption
-		switch pol {
-		case cmm.StackCutting:
-			opts = append(opts, cmm.WithDispatcher(cmm.NewExnStackDispatcher("mm_exn_top")))
-		case cmm.RuntimeUnwinding:
-			opts = append(opts, cmm.WithDispatcher(cmm.NewUnwindDispatcher()))
-		}
-		mach, err := mod.Native(cmm.CompileConfig{}, opts...)
+		mach, err := mod.Native(cmm.CompileConfig{})
 		if err != nil {
 			t.Fatalf("policy %v: %v", pol, err)
 		}
@@ -134,6 +128,13 @@ proc main(x) {
 		}
 		if res[0] != 0 || res[1] != 7 {
 			t.Errorf("policy %v: run_main(0) = %v, want status 0 value 7", pol, res[:2])
+		}
+		in, err := mod.Interp()
+		if err != nil {
+			t.Fatalf("policy %v: %v", pol, err)
+		}
+		if res, err := in.Run("run_main", 0); err != nil || res[0] != 0 || res[1] != 7 {
+			t.Errorf("policy %v: interp run_main(0) = %v (%v), want status 0 value 7", pol, res, err)
 		}
 	}
 }

@@ -119,6 +119,20 @@ func ParseDispatcher(spec string) (Dispatcher, error) {
 	return nil, fmt.Errorf("unknown dispatcher %q (valid dispatchers: unwind, exnstack:<global>, register:<global>)", spec)
 }
 
+// ParseExceptionPolicy parses a CLI spelling of a MiniM3 exception
+// policy: "cutting", "unwinding" or "native".
+func ParseExceptionPolicy(name string) (ExceptionPolicy, error) {
+	switch name {
+	case "cutting":
+		return StackCutting, nil
+	case "unwinding":
+		return RuntimeUnwinding, nil
+	case "native":
+		return NativeUnwinding, nil
+	}
+	return 0, fmt.Errorf("unknown MiniM3 policy %q (valid policies: cutting, unwinding, native)", name)
+}
+
 // StackStats is a representation's ledger: the simulated-cycle overhead
 // it would add (PolicyCycles), cut/capture/resume/overflow counts, and
 // the capture-size and live-segment samples. It is kept apart from Stats
@@ -181,7 +195,7 @@ func WithMemSize(n int) RunOption { return func(c *RunConfig) { c.MemSize = n } 
 func WithEngine(e Engine) RunOption { return func(c *RunConfig) { c.Engine = e } }
 
 // WithDispatcher installs the front-end run-time system entered on
-// yields.
+// yields, in place of the one a MiniM3 load installs.
 func WithDispatcher(d Dispatcher) RunOption { return func(c *RunConfig) { c.Dispatcher = d } }
 
 // WithObserver attaches an observability sink to the execution. The
@@ -223,12 +237,19 @@ type Interp struct {
 	m *sem.Machine
 }
 
-// Interp builds an interpreter for the module.
-func (m *Module) Interp(opts ...RunOption) (*Interp, error) {
-	var c RunConfig
+// runConfig applies opts over the module's defaults: the run-time
+// system its front end needs, if any.
+func (m *Module) runConfig(opts []RunOption) RunConfig {
+	c := RunConfig{Dispatcher: m.rt}
 	for _, o := range opts {
 		o(&c)
 	}
+	return c
+}
+
+// Interp builds an interpreter for the module.
+func (m *Module) Interp(opts ...RunOption) (*Interp, error) {
+	c := m.runConfig(opts)
 	semOpts := []sem.Option{sem.WithMaxSteps(500_000_000)}
 	if c.MemSize > 0 {
 		semOpts = append(semOpts, sem.WithMemSize(c.MemSize))
@@ -319,10 +340,7 @@ type Machine struct {
 
 // Native compiles the module and loads it on a fresh simulated machine.
 func (m *Module) Native(cc CompileConfig, opts ...RunOption) (*Machine, error) {
-	var c RunConfig
-	for _, o := range opts {
-		o(&c)
-	}
+	c := m.runConfig(opts)
 	// Codegen runs through the module's pipeline session: per-procedure
 	// emission fans out over the session's worker pool and lands in
 	// PassStats. The default configuration reuses the session's cached
