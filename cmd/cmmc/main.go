@@ -177,6 +177,6 @@ func parseArgs(s string) []uint64 {
 // fatal renders err through the structured-diagnostic renderer — the
 // same severity/pass format the compiler uses — and exits non-zero.
 func fatal(err error) {
-	fmt.Fprintln(os.Stderr, diag.AsList(err, "cmmc").String())
+	fmt.Fprint(os.Stderr, diag.AsList(err, "cmmc").String())
 	os.Exit(1)
 }

@@ -40,24 +40,23 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	src := string(data)
+	lc := cmm.LoadConfig{File: flag.Arg(0)}
+	var mod *cmm.Module
 	if *m3pol != "" {
-		policy, err := cmm.ParseExceptionPolicy(*m3pol)
-		if err != nil {
-			fatal(err)
+		policy, perr := cmm.ParseExceptionPolicy(*m3pol)
+		if perr != nil {
+			fatal(perr)
 		}
-		src, err = cmm.CompileMiniM3(src, policy)
-		if err != nil {
-			fatal(err)
-		}
-		if *emitCmm {
-			fmt.Print(src)
-			return
-		}
+		mod, err = cmm.LoadMiniM3With(string(data), policy, lc)
+	} else {
+		mod, err = cmm.LoadWith(string(data), lc)
 	}
-	mod, err := cmm.LoadWith(src, cmm.LoadConfig{File: flag.Arg(0)})
 	if err != nil {
 		fatal(err)
+	}
+	if *emitCmm && *m3pol != "" {
+		fmt.Print(mod.Source())
+		return
 	}
 	if *optLevel != 0 {
 		summary, err := mod.ApplyOpt(*optLevel)
@@ -98,6 +97,6 @@ func main() {
 // fatal renders err through the structured-diagnostic renderer — the
 // same severity/pass format the compiler uses — and exits non-zero.
 func fatal(err error) {
-	fmt.Fprintln(os.Stderr, diag.AsList(err, "cmmdump").String())
+	fmt.Fprint(os.Stderr, diag.AsList(err, "cmmdump").String())
 	os.Exit(1)
 }

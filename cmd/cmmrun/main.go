@@ -300,6 +300,6 @@ func writeObservations(mod *cmm.Module, o *cmm.Observer) {
 // fatal renders err through the structured-diagnostic renderer — the
 // same severity/pass format the compiler uses — and exits non-zero.
 func fatal(pass string, err error) {
-	fmt.Fprintln(os.Stderr, diag.AsList(err, pass).String())
+	fmt.Fprint(os.Stderr, diag.AsList(err, pass).String())
 	os.Exit(1)
 }

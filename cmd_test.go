@@ -316,6 +316,83 @@ func TestCmmdumpMiniM3(t *testing.T) {
 	}
 }
 
+// prunableM3 is the annotation-inference program of the MiniM3 tests:
+// pure never raises, so pruning drops every annotation from pureLoop's
+// call to it, while the call to raises keeps its own.
+const prunableM3 = `
+exception E;
+proc pure(x) { return x * 2 + 1; }
+proc pureLoop(n) {
+    var s;
+    s = 0;
+    while n > 0 {
+        s = s + pure(n);
+        n = n - 1;
+    }
+    return s;
+}
+proc divides(a, b) { return a / b; }        // may raise DivZero
+proc raises(x) { raise E(x); return 0; }
+proc callsRaiser(x) { return raises(x) + 1; }
+proc catches(x) {
+    var r;
+    try {
+        r = raises(x);
+    } except E(v) {
+        r = v;
+    }
+    return r;
+}
+`
+
+// TestCmmdumpMiniM3Pruned: cmmdump -minim3 shows the C-- that cmmc and
+// cmmvet load, with annotation inference applied, under every policy.
+func TestCmmdumpMiniM3Pruned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("tool smoke tests build binaries")
+	}
+	file := filepath.Join(t.TempDir(), "infer.m3")
+	if err := os.WriteFile(file, []byte(prunableM3), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, policy := range []string{"cutting", "unwinding", "native"} {
+		out := runTool(t, "./cmd/cmmdump", "-minim3", policy, "-emit-cmm", file)
+		for _, line := range strings.Split(out, "\n") {
+			if strings.Contains(line, "= pure(n)") && strings.Contains(line, "also") {
+				t.Errorf("%s: call to the non-raising pure keeps its annotations: %s", policy, line)
+			}
+			if strings.Contains(line, "= raises(") && policy != "cutting" && !strings.Contains(line, "also") {
+				t.Errorf("%s: call to raises lost its annotations: %s", policy, line)
+			}
+		}
+		if !strings.Contains(out, "= pure(n)") {
+			t.Errorf("%s: no call to pure in the emitted C--:\n%s", policy, out)
+		}
+	}
+}
+
+// TestToolErrorEndsInOneNewline: a failing tool ends its diagnostics
+// with one newline, not a blank line. The binary is built rather than
+// run through go run, which appends its own exit-status line.
+func TestToolErrorEndsInOneNewline(t *testing.T) {
+	if testing.Short() {
+		t.Skip("tool smoke tests build binaries")
+	}
+	bin := filepath.Join(t.TempDir(), "cmmc")
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/cmmc").CombinedOutput(); err != nil {
+		t.Fatalf("go build ./cmd/cmmc: %v\n%s", err, out)
+	}
+	cmd := exec.Command(bin, "-dump-after=opt", "testdata/figure1.cmm")
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); err == nil {
+		t.Fatal("cmmc -dump-after=opt without -O succeeded")
+	}
+	if s := stderr.String(); !strings.HasSuffix(s, "\n") || strings.HasSuffix(s, "\n\n") {
+		t.Errorf("stderr does not end in exactly one newline: %q", s)
+	}
+}
+
 func TestExamplesRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("example smoke tests build binaries")

@@ -321,26 +321,9 @@ func (m *Module) DumpLiveness(proc string) (string, error) {
 	}
 	out := ""
 	for i, n := range g.Nodes() {
-		out += fmt.Sprintf("n%d %s: in=%v out=%v\n", i, n.Kind, setList(lv.In[n]), setList(lv.Out[n]))
+		out += fmt.Sprintf("n%d %s: in=%v out=%v\n", i, n.Kind, lv.In(n), lv.Out(n))
 	}
 	return out, nil
-}
-
-func setList(s map[string]bool) []string {
-	var out []string
-	for v := range s {
-		out = append(out, v)
-	}
-	sortStrings(out)
-	return out
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // ExceptionPolicy selects how the MiniM3 front end implements

@@ -194,34 +194,59 @@ func (g *Graph) NewNode(kind NodeKind, pos syntax.Pos) *Node {
 	return n
 }
 
-// Flow edges of a node: its Succ list plus, for calls and cuts, the
-// bundle targets. These are exactly the edges Table 3's dataflow follows.
+// FlowSuccs returns the flow edges of a node: its Succ list plus, for
+// calls and cuts, the bundle targets. These are exactly the edges
+// Table 3's dataflow follows.
 func (n *Node) FlowSuccs() []*Node {
 	var out []*Node
-	out = append(out, n.Succ...)
-	if n.Bundle != nil {
-		out = append(out, n.Bundle.Returns...)
-		out = append(out, n.Bundle.Unwinds...)
-		out = append(out, n.Bundle.Cuts...)
-	}
+	n.EachSucc(true, func(s *Node) { out = append(out, s) })
 	return out
 }
 
+// EachSucc calls f on each of n's flow successors, in FlowSuccs order.
+// With exceptional false it skips the unwind and cut edges: the view of
+// the optimizer's unsound WithoutExceptionEdges ablation.
+func (n *Node) EachSucc(exceptional bool, f func(*Node)) {
+	for _, s := range n.Succ {
+		f(s)
+	}
+	if b := n.Bundle; b != nil {
+		for _, s := range b.Returns {
+			f(s)
+		}
+		if exceptional {
+			for _, s := range b.Unwinds {
+				f(s)
+			}
+			for _, s := range b.Cuts {
+				f(s)
+			}
+		}
+	}
+}
+
+// NumIDs bounds the IDs of g's nodes: 0 <= n.ID < g.NumIDs() for every
+// node g has created, so analyses can index dense tables by ID.
+func (g *Graph) NumIDs() int { return g.nextID }
+
 // Nodes returns the nodes reachable from the entry (and hence from every
 // live continuation), in a stable depth-first order.
-func (g *Graph) Nodes() []*Node {
-	var order []*Node
-	seen := map[*Node]bool{}
+func (g *Graph) Nodes() []*Node { return g.Reachable(true) }
+
+// Reachable returns the nodes reachable from the entry over the edges
+// EachSucc(exceptional, _) visits, in Nodes' depth-first order.
+// Continuations bound at Entry are reached in either view.
+func (g *Graph) Reachable(exceptional bool) []*Node {
+	order := make([]*Node, 0, len(g.nodes))
+	seen := make([]bool, g.nextID)
 	var visit func(n *Node)
 	visit = func(n *Node) {
-		if n == nil || seen[n] {
+		if n == nil || seen[n.ID] {
 			return
 		}
-		seen[n] = true
+		seen[n.ID] = true
 		order = append(order, n)
-		for _, s := range n.FlowSuccs() {
-			visit(s)
-		}
+		n.EachSucc(exceptional, visit)
 		// Entry binds continuations, making them reachable even if no
 		// flow edge mentions them yet.
 		for _, cb := range n.Conts {

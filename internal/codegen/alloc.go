@@ -41,7 +41,7 @@ func classifyHomes(g *cfg.Graph, lv *dataflow.Liveness, disableCS bool) (map[str
 			}
 		}
 		for _, t := range n.Bundle.Cuts {
-			for v := range lv.In[t] {
+			for _, v := range lv.In(t) {
 				param := false
 				for _, pv := range t.Vars {
 					if pv == v {

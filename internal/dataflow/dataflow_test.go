@@ -177,15 +177,15 @@ func TestLivenessFigure5(t *testing.T) {
 	g := p.Graph("f")
 	lv := ComputeLiveness(g)
 	call := findKind(g, cfg.KindCall)
-	if !lv.Out[call]["b"] {
-		t.Errorf("b must be live out of the call (used by continuation k): %v", lv.Out[call])
+	if !lv.LiveOut(call, "b") {
+		t.Errorf("b must be live out of the call (used by continuation k): %v", lv.Out(call))
 	}
-	if !lv.Out[call]["a"] {
-		t.Errorf("a must be live out of the call (used by c = b+c+a): %v", lv.Out[call])
+	if !lv.LiveOut(call, "a") {
+		t.Errorf("a must be live out of the call (used by c = b+c+a): %v", lv.Out(call))
 	}
 	// d is not live anywhere before the continuation binds it.
-	if lv.In[g.Entry]["d"] {
-		t.Errorf("d live at entry: %v", lv.In[g.Entry])
+	if lv.LiveIn(g.Entry, "d") {
+		t.Errorf("d live at entry: %v", lv.In(g.Entry))
 	}
 }
 
@@ -217,11 +217,11 @@ continuation k(d):
 			break
 		}
 	}
-	if lv.Out[firstAssign] == nil {
-		t.Fatal("no liveness for first assign")
+	if firstAssign == nil {
+		t.Fatal("no first assign")
 	}
-	if lv.Out[call]["b"] {
-		t.Errorf("b live out of call despite no handler use: %v", lv.Out[call])
+	if lv.LiveOut(call, "b") {
+		t.Errorf("b live out of call despite no handler use: %v", lv.Out(call))
 	}
 }
 
@@ -231,8 +231,8 @@ func TestLivenessLoop(t *testing.T) {
 	lv := ComputeLiveness(g)
 	br := findKind(g, cfg.KindBranch)
 	for _, v := range []string{"n", "s", "p"} {
-		if !lv.In[br][v] {
-			t.Errorf("%s not live at loop head: %v", v, lv.In[br])
+		if !lv.LiveIn(br, v) {
+			t.Errorf("%s not live at loop head: %v", v, lv.In(br))
 		}
 	}
 }

@@ -67,22 +67,26 @@ func newEffects() *Effects {
 // FreeVars adds the free variables of e to set; a memory load adds
 // MemVar, exactly as fv in Table 3 "possibly includes the variable M".
 func FreeVars(e syntax.Expr, set map[string]bool) {
+	eachFreeVar(e, func(v string) { set[v] = true })
+}
+
+// eachFreeVar calls f on each free variable of e, as FreeVars collects
+// them, without allocating.
+func eachFreeVar(e syntax.Expr, f func(string)) {
 	switch e := e.(type) {
-	case nil:
-		return
 	case *syntax.VarExpr:
-		set[e.Name] = true
+		f(e.Name)
 	case *syntax.MemExpr:
-		set[MemVar] = true
-		FreeVars(e.Addr, set)
+		f(MemVar)
+		eachFreeVar(e.Addr, f)
 	case *syntax.UnExpr:
-		FreeVars(e.X, set)
+		eachFreeVar(e.X, f)
 	case *syntax.BinExpr:
-		FreeVars(e.X, set)
-		FreeVars(e.Y, set)
+		eachFreeVar(e.X, f)
+		eachFreeVar(e.Y, f)
 	case *syntax.PrimExpr:
 		for _, a := range e.Args {
-			FreeVars(a, set)
+			eachFreeVar(a, f)
 		}
 	}
 }
@@ -95,19 +99,52 @@ func contParamCount(n *cfg.Node) int {
 	return 0
 }
 
+// eachVarEffect is the part of n's Table 3 row that names variables: it
+// calls use on the free variables of n's expressions (with MemVar for a
+// memory load) and def on the variables n binds. NodeEffects adds the
+// rest of the row; liveness needs only this part, and it allocates
+// nothing.
+func eachVarEffect(n *cfg.Node, use, def func(string)) {
+	switch n.Kind {
+	case cfg.KindEntry:
+		for _, cb := range n.Conts {
+			def(cb.Name)
+		}
+	case cfg.KindCopyIn:
+		for _, v := range n.Vars {
+			def(v)
+		}
+	case cfg.KindCopyOut:
+		for _, e := range n.Exprs {
+			eachFreeVar(e, use)
+		}
+	case cfg.KindAssign:
+		eachFreeVar(n.RHS, use)
+		if n.LHSMem != nil {
+			eachFreeVar(n.LHSMem.Addr, use)
+		} else {
+			def(n.LHSVar)
+		}
+	case cfg.KindBranch:
+		eachFreeVar(n.Cond, use)
+	case cfg.KindGoto:
+		eachFreeVar(n.Target, use)
+	case cfg.KindCall, cfg.KindJump, cfg.KindCutTo:
+		eachFreeVar(n.Callee, use)
+	}
+}
+
 // NodeEffects computes the Table 3 row for n. calleeSaves is the set of
 // variables currently held in callee-saves registers at the call (σ);
 // pass nil for directly translated code, where σ is empty.
 func NodeEffects(n *cfg.Node, calleeSaves map[string]bool) *Effects {
 	ef := newEffects()
+	eachVarEffect(n, func(v string) { ef.Uses[v] = true }, func(v string) { ef.Defs[v] = true })
 	switch n.Kind {
 	case cfg.KindEntry:
-		// Entry: def each continuation variable; def M; def A[i] for the
-		// procedure's incoming parameters (consumed by the following
-		// CopyIn).
-		for _, cb := range n.Conts {
-			ef.Defs[cb.Name] = true
-		}
+		// Entry: def each continuation variable (above); def M; def A[i]
+		// for the procedure's incoming parameters (consumed by the
+		// following CopyIn).
 		ef.Defs[MemVar] = true
 		if len(n.Succ) > 0 && n.Succ[0].Kind == cfg.KindCopyIn {
 			for i := range n.Succ[0].Vars {
@@ -126,11 +163,9 @@ func NodeEffects(n *cfg.Node, calleeSaves map[string]bool) *Effects {
 		for i, v := range n.Vars {
 			ef.Copies = append(ef.Copies, Copy{Dst: v, Src: AVar(i)})
 			ef.Uses[AVar(i)] = true
-			ef.Defs[v] = true
 		}
 	case cfg.KindCopyOut:
 		for i, e := range n.Exprs {
-			FreeVars(e, ef.Uses)
 			ef.Defs[AVar(i)] = true
 			if v, ok := e.(*syntax.VarExpr); ok {
 				ef.Copies = append(ef.Copies, Copy{Dst: AVar(i), Src: v.Name})
@@ -139,19 +174,10 @@ func NodeEffects(n *cfg.Node, calleeSaves map[string]bool) *Effects {
 	case cfg.KindCalleeSaves:
 		// No effect on dataflow.
 	case cfg.KindAssign:
-		FreeVars(n.RHS, ef.Uses)
 		if n.LHSMem != nil {
-			FreeVars(n.LHSMem.Addr, ef.Uses)
 			ef.Defs[MemVar] = true
-		} else {
-			ef.Defs[n.LHSVar] = true
 		}
-	case cfg.KindBranch:
-		FreeVars(n.Cond, ef.Uses)
-	case cfg.KindGoto:
-		FreeVars(n.Target, ef.Uses)
 	case cfg.KindCall:
-		FreeVars(n.Callee, ef.Uses)
 		ef.Uses[MemVar] = true
 		ef.Defs[MemVar] = true
 		// use A[i] for the call's parameters: the preceding CopyOut
@@ -181,10 +207,8 @@ func NodeEffects(n *cfg.Node, calleeSaves map[string]bool) *Effects {
 			}
 		}
 	case cfg.KindJump:
-		FreeVars(n.Callee, ef.Uses)
 		ef.Uses[MemVar] = true
 	case cfg.KindCutTo:
-		FreeVars(n.Callee, ef.Uses)
 		ef.Uses[MemVar] = true
 		if b := n.Bundle; b != nil {
 			for _, target := range b.Cuts {

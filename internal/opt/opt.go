@@ -82,42 +82,14 @@ type optimizer struct {
 	res  *Result
 }
 
-// succs returns the flow successors the analysis may follow.
-func (o *optimizer) succs(n *cfg.Node) []*cfg.Node {
-	if !o.opts.WithoutExceptionEdges {
-		return n.FlowSuccs()
-	}
-	var out []*cfg.Node
-	out = append(out, n.Succ...)
-	if n.Bundle != nil {
-		out = append(out, n.Bundle.Returns...)
-		// unwinds and cuts hidden: the unsound mode
-	}
-	return out
-}
+// nodes returns the nodes reachable over the flow edges the analysis
+// may follow (plus continuation bindings, which stay reachable through
+// the Entry node).
+func (o *optimizer) nodes() []*cfg.Node { return o.g.Reachable(o.allEdges()) }
 
-// nodes returns the reachable nodes under o.succs (plus continuation
-// bindings, which stay reachable through the Entry node).
-func (o *optimizer) nodes() []*cfg.Node {
-	var order []*cfg.Node
-	seen := map[*cfg.Node]bool{}
-	var visit func(n *cfg.Node)
-	visit = func(n *cfg.Node) {
-		if n == nil || seen[n] {
-			return
-		}
-		seen[n] = true
-		order = append(order, n)
-		for _, s := range o.succs(n) {
-			visit(s)
-		}
-		for _, cb := range n.Conts {
-			visit(cb.Node)
-		}
-	}
-	visit(o.g.Entry)
-	return order
-}
+// allEdges selects the flow edges the analyses follow: every edge, or
+// under WithoutExceptionEdges all but the unwind and cut edges.
+func (o *optimizer) allEdges() bool { return !o.opts.WithoutExceptionEdges }
 
 // --- Constant and copy propagation ---
 
@@ -170,9 +142,7 @@ func (o *optimizer) propagate() {
 	in := map[*cfg.Node]valueMap{}
 	preds := map[*cfg.Node][]*cfg.Node{}
 	for _, n := range nodes {
-		for _, s := range o.succs(n) {
-			preds[s] = append(preds[s], n)
-		}
+		n.EachSucc(o.allEdges(), func(s *cfg.Node) { preds[s] = append(preds[s], n) })
 	}
 
 	transfer := func(n *cfg.Node, vm valueMap) valueMap {
@@ -489,7 +459,7 @@ func (o *optimizer) collapseGotos() {
 
 func (o *optimizer) deadCode() {
 	for {
-		lv := o.liveness()
+		lv := dataflow.LivenessOver(o.g, o.allEdges())
 		removed := 0
 		for _, n := range o.nodes() {
 			if n.Kind != cfg.KindAssign || n.LHSMem != nil {
@@ -498,7 +468,7 @@ func (o *optimizer) deadCode() {
 			if !o.isLocal(n.LHSVar) {
 				continue // assignments to globals are always observable
 			}
-			if lv.Out[n][n.LHSVar] {
+			if lv.LiveOut(n, n.LHSVar) {
 				continue
 			}
 			// Dead: bypass the node.
@@ -510,82 +480,6 @@ func (o *optimizer) deadCode() {
 			return
 		}
 	}
-}
-
-// liveness computes live variables over the optimizer's edge view.
-func (o *optimizer) liveness() *dataflow.Liveness {
-	if !o.opts.WithoutExceptionEdges {
-		return dataflow.ComputeLiveness(o.g)
-	}
-	// Unsound variant: copy the graph's liveness computation but without
-	// exception edges. We reimplement the loop with o.succs.
-	lv := &dataflow.Liveness{
-		Graph: o.g,
-		In:    map[*cfg.Node]map[string]bool{},
-		Out:   map[*cfg.Node]map[string]bool{},
-	}
-	nodes := o.nodes()
-	use := map[*cfg.Node]map[string]bool{}
-	def := map[*cfg.Node]map[string]bool{}
-	for _, n := range nodes {
-		ef := dataflow.NodeEffects(n, nil)
-		u, d := map[string]bool{}, map[string]bool{}
-		for v := range ef.VarUses() {
-			if o.isLocal(v) {
-				u[v] = true
-			}
-		}
-		for v := range ef.VarDefs() {
-			if o.isLocal(v) {
-				d[v] = true
-			}
-		}
-		use[n], def[n] = u, d
-		lv.In[n], lv.Out[n] = map[string]bool{}, map[string]bool{}
-	}
-	changed := true
-	for changed {
-		changed = false
-		for i := len(nodes) - 1; i >= 0; i-- {
-			n := nodes[i]
-			out := map[string]bool{}
-			for _, s := range o.succs(n) {
-				for v := range lv.In[s] {
-					out[v] = true
-				}
-			}
-			in := map[string]bool{}
-			for v := range out {
-				if !def[n][v] {
-					in[v] = true
-				}
-			}
-			for v := range use[n] {
-				in[v] = true
-			}
-			if len(out) != len(lv.Out[n]) || len(in) != len(lv.In[n]) {
-				lv.Out[n], lv.In[n] = out, in
-				changed = true
-			} else {
-				same := true
-				for v := range out {
-					if !lv.Out[n][v] {
-						same = false
-					}
-				}
-				for v := range in {
-					if !lv.In[n][v] {
-						same = false
-					}
-				}
-				if !same {
-					lv.Out[n], lv.In[n] = out, in
-					changed = true
-				}
-			}
-		}
-	}
-	return lv
 }
 
 // bypass removes a single-successor node by redirecting all edges that
@@ -633,9 +527,7 @@ func (o *optimizer) localCSE() {
 	nodes := o.nodes()
 	preds := map[*cfg.Node]int{}
 	for _, n := range nodes {
-		for _, s := range o.succs(n) {
-			preds[s]++
-		}
+		n.EachSucc(o.allEdges(), func(s *cfg.Node) { preds[s]++ })
 	}
 	visited := map[*cfg.Node]bool{}
 	for _, head := range nodes {
