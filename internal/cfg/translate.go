@@ -252,6 +252,15 @@ func (b *builder) errf(pos syntax.Pos, format string, args ...any) error {
 	return syntax.ErrorAt(PassTranslate, b.info.Program.File, pos, format, args...)
 }
 
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
 func (b *builder) buildProc(proc *syntax.Proc) (*Graph, error) {
 	g := &Graph{
 		Name:    proc.Name,
@@ -270,15 +279,17 @@ func (b *builder) buildProc(proc *syntax.Proc) (*Graph, error) {
 	}
 
 	// Shells for continuations and labels, so forward and backward
-	// references resolve uniformly.
-	for name, cs := range b.pi.Conts {
+	// references resolve uniformly. They are made in name order, so that
+	// node IDs do not depend on map iteration.
+	for _, name := range sortedKeys(b.pi.Conts) {
+		cs := b.pi.Conts[name]
 		n := g.NewNode(KindCopyIn, cs.Position())
 		n.Vars = append([]string{}, cs.Formals...)
 		n.ContName = name
 		g.ContMap[name] = n
 	}
-	for name, ls := range b.pi.Labels {
-		n := g.NewNode(KindGoto, ls.Position())
+	for _, name := range sortedKeys(b.pi.Labels) {
+		n := g.NewNode(KindGoto, b.pi.Labels[name].Position())
 		b.labels[name] = n
 	}
 

@@ -56,11 +56,7 @@ func classifyHomes(g *cfg.Graph, lv *dataflow.Liveness, disableCS bool) (map[str
 	}
 
 	// Deterministic order.
-	vars := make([]string, 0, len(g.Locals))
-	for v := range g.Locals {
-		vars = append(vars, v)
-	}
-	sort.Strings(vars)
+	vars := dataflow.SortedLocals(g)
 
 	homes := map[string]home{}
 	var frameVars []string

@@ -28,19 +28,27 @@ type Liveness struct {
 // flow edges — including the bundle edges introduced by the
 // also-annotations, which is precisely what keeps values used by
 // exception handlers alive across calls (§6).
-func ComputeLiveness(g *cfg.Graph) *Liveness { return LivenessOver(g, true) }
+func ComputeLiveness(g *cfg.Graph) *Liveness { return LivenessOver(g, g.Reachable(true), true) }
 
-// LivenessOver is ComputeLiveness over the edge view
-// cfg.Node.EachSucc(exceptional, _) visits: with exceptional false
-// the unwind and cut edges are hidden, as the optimizer's unsound
-// WithoutExceptionEdges ablation requires. Both views share this one
-// solver.
-func LivenessOver(g *cfg.Graph, exceptional bool) *Liveness {
+// SortedLocals returns g's locals in sorted order: the variable index of
+// Liveness's bitsets and of the optimizer's lattice vectors.
+func SortedLocals(g *cfg.Graph) []string {
 	vars := make([]string, 0, len(g.Locals))
 	for v := range g.Locals {
 		vars = append(vars, v)
 	}
 	sort.Strings(vars)
+	return vars
+}
+
+// LivenessOver is ComputeLiveness over the edge view
+// cfg.Node.EachSucc(exceptional, _) visits: with exceptional false
+// the unwind and cut edges are hidden, as the optimizer's unsound
+// WithoutExceptionEdges ablation requires. Both views share this one
+// solver. nodes must be g.Reachable(exceptional), which a caller that
+// walks the graph anyway passes rather than walking it twice.
+func LivenessOver(g *cfg.Graph, nodes []*cfg.Node, exceptional bool) *Liveness {
+	vars := SortedLocals(g)
 	w := (len(vars) + 63) / 64
 	lv := &Liveness{Graph: g, vars: vars, words: w,
 		in: make([]uint64, g.NumIDs()*w), out: make([]uint64, g.NumIDs()*w)}
@@ -48,7 +56,6 @@ func LivenessOver(g *cfg.Graph, exceptional bool) *Liveness {
 	// Transfer functions and successor IDs, by position in nodes: node
 	// i's use and def sets are words [i*w, (i+1)*w) of use and def, its
 	// successors' IDs are succ[start[i]:start[i+1]].
-	nodes := g.Reachable(exceptional)
 	use := make([]uint64, len(nodes)*w)
 	def := make([]uint64, len(nodes)*w)
 	start := make([]int, len(nodes)+1)

@@ -172,7 +172,7 @@ func compareWithReference(t *testing.T, where string, g *cfg.Graph) {
 			t.Errorf("%s: Reachable order differs from the reference walk", view)
 		}
 		in, out, _ := refLiveness(g, exceptional)
-		lv := dataflow.LivenessOver(g, exceptional)
+		lv := dataflow.LivenessOver(g, nodes, exceptional)
 		for _, n := range nodes {
 			if got, want := lv.In(n), sortedSet(in[n]); !slices.Equal(got, want) {
 				t.Errorf("%s: n%d %s: live-in %v, reference %v", view, n.ID, n.Kind, got, want)

@@ -15,6 +15,7 @@ package opt
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"cmm/internal/cfg"
@@ -60,10 +61,10 @@ func Optimize(g *cfg.Graph, info *check.Info, opts Options) *Result {
 		max = 10
 	}
 	res := &Result{}
+	o := newOptimizer(g, info, opts, res)
 	for round := 0; round < max; round++ {
 		res.Rounds = round + 1
 		before := res.total()
-		o := &optimizer{g: g, info: info, opts: opts, res: res}
 		o.propagate() // constants and copies, then fold and substitute
 		o.foldBranches()
 		o.deadCode()
@@ -80,12 +81,28 @@ type optimizer struct {
 	info *check.Info
 	opts Options
 	res  *Result
+
+	vars  []string         // the sorted locals: the lattice vectors' index
+	index map[string]int32 // a local's position in vars
+	// nodes are the nodes reachable over the flow edges the analysis may
+	// follow (plus continuation bindings, which stay reachable through
+	// the Entry node). foldBranches and deadCode walk again when they
+	// change an edge.
+	nodes []*cfg.Node
 }
 
-// nodes returns the nodes reachable over the flow edges the analysis
-// may follow (plus continuation bindings, which stay reachable through
-// the Entry node).
-func (o *optimizer) nodes() []*cfg.Node { return o.g.Reachable(o.allEdges()) }
+func newOptimizer(g *cfg.Graph, info *check.Info, opts Options, res *Result) *optimizer {
+	o := &optimizer{g: g, info: info, opts: opts, res: res,
+		vars: dataflow.SortedLocals(g), index: make(map[string]int32, len(g.Locals))}
+	for i, v := range o.vars {
+		o.index[v] = int32(i)
+	}
+	o.walk()
+	return o
+}
+
+// walk recomputes o.nodes after a pass changed edges.
+func (o *optimizer) walk() { o.nodes = o.g.Reachable(o.allEdges()) }
 
 // allEdges selects the flow edges the analyses follow: every edge, or
 // under WithoutExceptionEdges all but the unwind and cut edges.
@@ -93,7 +110,7 @@ func (o *optimizer) allEdges() bool { return !o.opts.WithoutExceptionEdges }
 
 // --- Constant and copy propagation ---
 
-type latKind int
+type latKind uint8
 
 const (
 	latTop latKind = iota // unvisited / unknown-optimistic
@@ -103,118 +120,30 @@ const (
 )
 
 type lat struct {
-	kind latKind
 	val  uint64
-	src  string // latCopy: the copied-from variable
+	src  int32 // latCopy: the copied-from local's index in o.vars
+	kind latKind
 }
 
 func meet(a, b lat) lat {
-	if a.kind == latTop {
+	switch {
+	case a.kind == latTop || a == b:
 		return b
-	}
-	if b.kind == latTop {
-		return a
-	}
-	if a == b {
+	case b.kind == latTop:
 		return a
 	}
 	return lat{kind: latBottom}
 }
 
-type valueMap map[string]lat
-
-func (vm valueMap) get(v string) lat {
-	if l, ok := vm[v]; ok {
-		return l
-	}
-	return lat{kind: latTop}
-}
-
-func (o *optimizer) isLocal(v string) bool {
-	_, ok := o.g.Locals[v]
-	return ok
-}
+func (o *optimizer) isLocal(v string) bool { _, ok := o.index[v]; return ok }
 
 // propagate runs a combined constant/copy propagation to a fixed point
 // and then rewrites uses.
 func (o *optimizer) propagate() {
-	nodes := o.nodes()
-	in := map[*cfg.Node]valueMap{}
-	preds := map[*cfg.Node][]*cfg.Node{}
-	for _, n := range nodes {
-		n.EachSucc(o.allEdges(), func(s *cfg.Node) { preds[s] = append(preds[s], n) })
-	}
-
-	transfer := func(n *cfg.Node, vm valueMap) valueMap {
-		out := valueMap{}
-		for k, v := range vm {
-			out[k] = v
-		}
-		kill := func(v string) {
-			out[v] = lat{kind: latBottom}
-			// Any copy of v is invalidated.
-			for k, l := range out {
-				if l.kind == latCopy && l.src == v {
-					out[k] = lat{kind: latBottom}
-				}
-			}
-		}
-		switch n.Kind {
-		case cfg.KindEntry:
-			for _, cb := range n.Conts {
-				out[cb.Name] = lat{kind: latBottom}
-			}
-		case cfg.KindCopyIn:
-			for _, v := range n.Vars {
-				kill(v)
-			}
-		case cfg.KindAssign:
-			if n.LHSMem == nil {
-				l := o.evalLat(n.RHS, vm)
-				kill(n.LHSVar)
-				if o.isLocal(n.LHSVar) {
-					// Self-copies (x := x-shaped) must not record x as a
-					// copy of itself.
-					if !(l.kind == latCopy && l.src == n.LHSVar) {
-						out[n.LHSVar] = l
-					}
-				}
-			}
-		}
-		return out
-	}
-
-	// Iterate to a fixed point.
-	changed := true
-	for changed {
-		changed = false
-		for _, n := range nodes {
-			merged := valueMap{}
-			if n == o.g.Entry {
-				// Everything unknown at entry.
-			}
-			for _, p := range preds[n] {
-				pout := transfer(p, in[p])
-				for v, l := range pout {
-					merged[v] = meet(merged.get(v), l)
-				}
-				// Variables absent in pout but present in merged meet
-				// with top, which keeps them; that is the optimistic
-				// treatment of unvisited paths.
-			}
-			if !sameVM(merged, in[n]) {
-				in[n] = merged
-				changed = true
-			}
-		}
-	}
-
-	// Rewrite uses.
-	for _, n := range nodes {
-		vm := in[n]
-		if vm == nil {
-			vm = valueMap{}
-		}
+	in := o.solve()
+	nv := len(o.vars)
+	for i, n := range o.nodes {
+		vm := in[i*nv : (i+1)*nv]
 		rewrite := func(e syntax.Expr) syntax.Expr { return o.rewriteExpr(e, vm) }
 		for i, e := range n.Exprs {
 			n.Exprs[i] = rewrite(e)
@@ -235,38 +164,106 @@ func (o *optimizer) propagate() {
 	}
 }
 
-func sameVM(a, b valueMap) bool {
-	if len(a) != len(b) {
-		return false
+// solve computes every node's in vector: o.nodes[i]'s is
+// in[i*len(o.vars):(i+1)*len(o.vars)], and the zero lat is ⊤. A node's
+// out vector is cached and recomputed only when its in vector changes,
+// and a node is revisited only when a predecessor's did. The lattice is
+// not monotone (evalLat reads ⊤ as ⊥), so the fixed point depends on
+// the visit order: the solver keeps the round-robin order over o.nodes,
+// and what it skips would recompute the same vectors.
+func (o *optimizer) solve() []lat {
+	nodes, nv := o.nodes, len(o.vars)
+	pos := make([]int32, o.g.NumIDs())
+	for i, n := range nodes {
+		pos[n.ID] = int32(i)
 	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
+	preds := make([][]int32, len(nodes))
+	for i, n := range nodes {
+		n.EachSucc(o.allEdges(), func(s *cfg.Node) { preds[pos[s.ID]] = append(preds[pos[s.ID]], int32(i)) })
+	}
+	in, out := make([]lat, len(nodes)*nv), make([]lat, len(nodes)*nv)
+	dirty := make([]bool, len(nodes))
+	for i, n := range nodes {
+		o.transfer(n, in[i*nv:(i+1)*nv], out[i*nv:(i+1)*nv])
+		dirty[i] = true
+	}
+	merged := make([]lat, nv)
+	for changed := true; changed; {
+		changed = false
+		for i, n := range nodes {
+			if !dirty[i] {
+				continue
+			}
+			dirty[i] = false
+			clear(merged)
+			for _, p := range preds[i] {
+				for k, l := range out[int(p)*nv : int(p+1)*nv] {
+					merged[k] = meet(merged[k], l)
+				}
+			}
+			if vin := in[i*nv : (i+1)*nv]; !slices.Equal(merged, vin) {
+				copy(vin, merged)
+				o.transfer(n, vin, out[i*nv:(i+1)*nv])
+				n.EachSucc(o.allEdges(), func(s *cfg.Node) { dirty[pos[s.ID]] = true })
+				changed = true
+			}
 		}
 	}
-	return true
+	return in
+}
+
+// transfer computes n's out vector from its in vector.
+func (o *optimizer) transfer(n *cfg.Node, in, out []lat) {
+	copy(out, in)
+	kill := func(v string) {
+		i, ok := o.index[v]
+		if !ok {
+			return
+		}
+		out[i] = lat{kind: latBottom}
+		// Any copy of v is invalidated.
+		for k, l := range out {
+			if l.kind == latCopy && l.src == i {
+				out[k] = lat{kind: latBottom}
+			}
+		}
+	}
+	switch n.Kind {
+	case cfg.KindEntry:
+		for _, cb := range n.Conts {
+			kill(cb.Name)
+		}
+	case cfg.KindCopyIn:
+		for _, v := range n.Vars {
+			kill(v)
+		}
+	case cfg.KindAssign:
+		if n.LHSMem == nil {
+			l := o.evalLat(n.RHS, in)
+			kill(n.LHSVar)
+			// Self-copies (x := x-shaped) must not record x as a copy of
+			// itself.
+			if i, ok := o.index[n.LHSVar]; ok && !(l.kind == latCopy && l.src == i) {
+				out[i] = l
+			}
+		}
+	}
 }
 
 // evalLat abstracts expression evaluation over the lattice.
-func (o *optimizer) evalLat(e syntax.Expr, vm valueMap) lat {
+func (o *optimizer) evalLat(e syntax.Expr, vm []lat) lat {
 	switch e := e.(type) {
 	case *syntax.IntLit:
 		return lat{kind: latConst, val: e.Val}
 	case *syntax.VarExpr:
-		if !o.isLocal(e.Name) {
+		i, ok := o.index[e.Name]
+		switch {
+		case !ok || vm[i].kind == latTop: // a global, or uninitialized: unknown
 			return lat{kind: latBottom}
+		case vm[i].kind == latBottom:
+			return lat{kind: latCopy, src: i}
 		}
-		l := vm.get(e.Name)
-		if l.kind == latTop {
-			return lat{kind: latBottom} // uninitialized: treat as unknown
-		}
-		if l.kind == latConst || l.kind == latBottom {
-			if l.kind == latConst {
-				return l
-			}
-			return lat{kind: latCopy, src: e.Name}
-		}
-		return l // a copy chain
+		return vm[i] // a constant, or a copy chain
 	case *syntax.UnExpr:
 		x := o.evalLat(e.X, vm)
 		if x.kind != latConst || o.typeOf(e).Kind == syntax.FloatType {
@@ -342,7 +339,7 @@ func mask(w int) uint64 {
 }
 
 // rewriteExpr substitutes constants and copies into e, bottom-up.
-func (o *optimizer) rewriteExpr(e syntax.Expr, vm valueMap) syntax.Expr {
+func (o *optimizer) rewriteExpr(e syntax.Expr, vm []lat) syntax.Expr {
 	if e == nil {
 		return nil
 	}
@@ -361,13 +358,11 @@ func (o *optimizer) rewriteExpr(e syntax.Expr, vm valueMap) syntax.Expr {
 	}
 	switch e := e.(type) {
 	case *syntax.VarExpr:
-		if o.isLocal(e.Name) {
-			if l := vm.get(e.Name); l.kind == latCopy && l.src != e.Name && o.isLocal(l.src) {
-				o.res.CopiesPropagated++
-				v := &syntax.VarExpr{Name: l.src}
-				o.info.SetType(v, o.typeOf(e))
-				return v
-			}
+		if i, ok := o.index[e.Name]; ok && vm[i].kind == latCopy && vm[i].src != i {
+			o.res.CopiesPropagated++
+			v := &syntax.VarExpr{Name: o.vars[vm[i].src]}
+			o.info.SetType(v, o.typeOf(e))
+			return v
 		}
 		return e
 	case *syntax.MemExpr:
@@ -396,7 +391,8 @@ func (o *optimizer) rewriteExpr(e syntax.Expr, vm valueMap) syntax.Expr {
 // --- Constant branch resolution ---
 
 func (o *optimizer) foldBranches() {
-	for _, n := range o.nodes() {
+	folded := false
+	for _, n := range o.nodes {
 		if n.Kind != cfg.KindBranch {
 			continue
 		}
@@ -409,122 +405,122 @@ func (o *optimizer) foldBranches() {
 			target = n.Succ[0]
 		}
 		// Turn the branch into a direct goto; unreachable nodes drop out
-		// of Nodes() automatically.
+		// of the next walk.
 		n.Kind = cfg.KindGoto
 		n.Cond = nil
 		n.Target = nil
 		n.Succ = []*cfg.Node{target}
 		o.res.BranchesResolved++
+		folded = true
 	}
-	o.collapseGotos()
-}
-
-// collapseGotos removes pass-through Goto nodes created by branch
-// folding, mirroring the translator's cleanup.
-func (o *optimizer) collapseGotos() {
-	resolve := func(n *cfg.Node) *cfg.Node {
+	// Remove the pass-through Goto nodes folding created, mirroring the
+	// translator's cleanup.
+	collapsed := o.retarget(func(n *cfg.Node) *cfg.Node {
 		seen := map[*cfg.Node]bool{}
 		for n != nil && n.Kind == cfg.KindGoto && n.Target == nil && len(n.Succ) == 1 && !seen[n] {
 			seen[n] = true
 			n = n.Succ[0]
 		}
 		return n
+	})
+	if folded || collapsed {
+		o.walk()
+	}
+}
+
+// retarget replaces every edge s of the graph — successors, bundle
+// targets, continuation bindings, the entry and ContMap — with to(s),
+// in place and in node order, and reports whether any edge changed.
+func (o *optimizer) retarget(to func(*cfg.Node) *cfg.Node) bool {
+	changed := false
+	re := func(s *cfg.Node) *cfg.Node {
+		t := to(s)
+		changed = changed || t != s
+		return t
+	}
+	each := func(ns []*cfg.Node) {
+		for i, s := range ns {
+			ns[i] = re(s)
+		}
 	}
 	for _, n := range o.g.AllNodes() {
-		for i, s := range n.Succ {
-			n.Succ[i] = resolve(s)
-		}
-		if n.Bundle != nil {
-			for i, s := range n.Bundle.Returns {
-				n.Bundle.Returns[i] = resolve(s)
-			}
-			for i, s := range n.Bundle.Unwinds {
-				n.Bundle.Unwinds[i] = resolve(s)
-			}
-			for i, s := range n.Bundle.Cuts {
-				n.Bundle.Cuts[i] = resolve(s)
-			}
+		each(n.Succ)
+		if b := n.Bundle; b != nil {
+			each(b.Returns)
+			each(b.Unwinds)
+			each(b.Cuts)
 		}
 		for i := range n.Conts {
-			n.Conts[i].Node = resolve(n.Conts[i].Node)
+			n.Conts[i].Node = re(n.Conts[i].Node)
 		}
 	}
-	o.g.Entry = resolve(o.g.Entry)
+	o.g.Entry = re(o.g.Entry)
 	for name, n := range o.g.ContMap {
-		o.g.ContMap[name] = resolve(n)
+		o.g.ContMap[name] = re(n)
 	}
+	return changed
 }
 
 // --- Dead code elimination ---
 
 func (o *optimizer) deadCode() {
 	for {
-		lv := dataflow.LivenessOver(o.g, o.allEdges())
-		removed := 0
-		for _, n := range o.nodes() {
-			if n.Kind != cfg.KindAssign || n.LHSMem != nil {
-				continue
+		lv := dataflow.LivenessOver(o.g, o.nodes, o.allEdges())
+		var dead []*cfg.Node
+		for _, n := range o.nodes {
+			// Assignments to globals are always observable.
+			if n.Kind == cfg.KindAssign && n.LHSMem == nil && o.isLocal(n.LHSVar) && !lv.LiveOut(n, n.LHSVar) {
+				dead = append(dead, n)
 			}
-			if !o.isLocal(n.LHSVar) {
-				continue // assignments to globals are always observable
-			}
-			if lv.LiveOut(n, n.LHSVar) {
-				continue
-			}
-			// Dead: bypass the node.
-			o.bypass(n)
-			removed++
 		}
+		removed := o.bypass(dead)
 		o.res.AssignsRemoved += removed
 		if removed == 0 {
 			return
 		}
+		o.walk()
 	}
 }
 
-// bypass removes a single-successor node by redirecting all edges that
-// point at it to its successor.
-func (o *optimizer) bypass(n *cfg.Node) {
-	succ := n.Succ[0]
-	redirect := func(p *cfg.Node) *cfg.Node {
-		if p == n {
-			return succ
-		}
-		return p
+// bypass removes dead single-successor nodes in one sweep over the
+// graph: every edge into one is redirected to the first live node down
+// its chain of successors, where removing the nodes one at a time would
+// leave it. A dead node whose chain loops has no such node and stays.
+// bypass returns how many nodes it removed.
+func (o *optimizer) bypass(dead []*cfg.Node) int {
+	if len(dead) == 0 {
+		return 0
 	}
-	for _, x := range o.g.AllNodes() {
-		for i, s := range x.Succ {
-			x.Succ[i] = redirect(s)
-		}
-		if x.Bundle != nil {
-			for i, s := range x.Bundle.Returns {
-				x.Bundle.Returns[i] = redirect(s)
+	isDead := make([]bool, o.g.NumIDs())
+	for _, n := range dead {
+		isDead[n.ID] = true
+	}
+	first := func(s *cfg.Node) *cfg.Node {
+		t := s
+		for hops := 0; t != nil && isDead[t.ID]; hops++ {
+			if hops == len(dead) {
+				return s // the chain loops
 			}
-			for i, s := range x.Bundle.Unwinds {
-				x.Bundle.Unwinds[i] = redirect(s)
-			}
-			for i, s := range x.Bundle.Cuts {
-				x.Bundle.Cuts[i] = redirect(s)
-			}
+			t = t.Succ[0]
 		}
-		for i := range x.Conts {
-			x.Conts[i].Node = redirect(x.Conts[i].Node)
-		}
+		return t
 	}
-	if o.g.Entry == n {
-		o.g.Entry = succ
-	}
-	for name, x := range o.g.ContMap {
-		if x == n {
-			o.g.ContMap[name] = succ
+	removed := 0
+	for _, n := range dead {
+		if first(n) != n {
+			removed++
 		}
 	}
+	if removed > 0 {
+		o.retarget(first)
+	}
+	return removed
 }
 
 // --- Local common-subexpression elimination ---
 
 func (o *optimizer) localCSE() {
-	nodes := o.nodes()
+	nodes := o.nodes
 	preds := map[*cfg.Node]int{}
 	for _, n := range nodes {
 		n.EachSucc(o.allEdges(), func(s *cfg.Node) { preds[s]++ })

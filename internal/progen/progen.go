@@ -3,10 +3,10 @@
 // compiled machine must agree on every generated program, optimization
 // must preserve behavior, and SSA invariants must hold.
 //
-// Generated programs are deterministic (no input-dependent divergence
-// risk): loops have bounded counters, calls only go "downward" in the
-// procedure list, every local is initialized before use, and divisions
-// guard their divisors.
+// Generated programs are deterministic and terminate: calls only go
+// "downward" in the procedure list, and every loop counts a counter down
+// from at most 4 that its own body only reads. Every local is
+// initialized before use, and divisions guard their divisors.
 package progen
 
 import (
@@ -44,8 +44,9 @@ type gen struct {
 	cfg Config
 	sb  strings.Builder
 
-	proc     int      // index of the procedure being generated
-	vars     []string // variables certainly initialized at this point
+	proc     int             // index of the procedure being generated
+	vars     []string        // variables certainly initialized at this point
+	counters map[string]bool // this procedure's loop counters
 	loops    int
 	contName string // nonempty when this proc declares a continuation
 }
@@ -65,6 +66,7 @@ func (g *gen) program() string {
 func (g *gen) genProc(p int) {
 	g.proc = p
 	g.vars = []string{"x"}
+	g.counters = map[string]bool{}
 	g.loops = 0
 	g.contName = ""
 	fmt.Fprintf(&g.sb, "p%d(bits32 x) {\n", p)
@@ -109,6 +111,20 @@ func (g *gen) genProc(p int) {
 	}
 }
 
+// target picks the variable an assignment writes: an initialized local,
+// never the formal x and never a loop counter, which only its own loop
+// writes, so that every loop runs at most its counter's initial value
+// of rounds.
+func (g *gen) target() string {
+	var vs []string
+	for _, v := range g.vars[1:] {
+		if !g.counters[v] {
+			vs = append(vs, v)
+		}
+	}
+	return vs[g.pick(len(vs))]
+}
+
 func (g *gen) block(depth int) {
 	n := 1 + g.pick(g.cfg.MaxStmts)
 	for i := 0; i < n; i++ {
@@ -120,11 +136,7 @@ func (g *gen) stmt(depth int) {
 	choice := g.pick(10)
 	switch {
 	case choice < 4: // assignment
-		v := g.vars[g.pick(len(g.vars))]
-		if v == "x" && len(g.vars) > 1 {
-			v = g.vars[1+g.pick(len(g.vars)-1)]
-		}
-		fmt.Fprintf(&g.sb, "    %s = %s;\n", v, g.expr(2))
+		fmt.Fprintf(&g.sb, "    %s = %s;\n", g.target(), g.expr(2))
 	case choice < 5: // global update
 		fmt.Fprintf(&g.sb, "    gv%d = %s;\n", g.pick(2), g.expr(2))
 	case choice < 6 && depth < g.cfg.MaxDepth: // if
@@ -147,6 +159,7 @@ func (g *gen) stmt(depth int) {
 		fmt.Fprintf(&g.sb, "%s:\n", lbl)
 		fmt.Fprintf(&g.sb, "    if %s > 0 {\n", ctr)
 		g.vars = append(g.vars, ctr)
+		g.counters[ctr] = true
 		mark := len(g.vars)
 		g.block(depth + 1)
 		g.vars = g.vars[:mark]
@@ -156,21 +169,12 @@ func (g *gen) stmt(depth int) {
 		g.vars = g.vars[:mark-1] // the counter itself is loop-local
 	case choice < 9 && g.proc+1 < g.cfg.Procs: // call a later procedure
 		callee := g.proc + 1 + g.pick(g.cfg.Procs-g.proc-1)
-		v := g.vars[g.pick(len(g.vars))]
-		if v == "x" && len(g.vars) > 1 {
-			v = g.vars[1+g.pick(len(g.vars)-1)]
-		}
-		fmt.Fprintf(&g.sb, "    %s = p%d(%s) also aborts;\n", v, callee, g.expr(2))
+		fmt.Fprintf(&g.sb, "    %s = p%d(%s) also aborts;\n", g.target(), callee, g.expr(2))
 	case choice < 10 && g.contName != "": // exceptional call to the raiser
-		v := g.vars[1+g.pick(len(g.vars)-1)]
 		fmt.Fprintf(&g.sb, "    %s = raiser(%s, %s) also cuts to %s also aborts;\n",
-			v, g.expr(2), g.contName, g.contName)
+			g.target(), g.expr(2), g.contName, g.contName)
 	default:
-		v := g.vars[g.pick(len(g.vars))]
-		if v == "x" && len(g.vars) > 1 {
-			v = g.vars[1+g.pick(len(g.vars)-1)]
-		}
-		fmt.Fprintf(&g.sb, "    %s = %s;\n", v, g.expr(2))
+		fmt.Fprintf(&g.sb, "    %s = %s;\n", g.target(), g.expr(2))
 	}
 }
 

@@ -1,6 +1,8 @@
 package progen
 
 import (
+	"regexp"
+	"strings"
 	"testing"
 
 	"cmm/internal/cfg"
@@ -234,5 +236,35 @@ func TestPrettyPrintRoundTrip(t *testing.T) {
 		if text2 := p2.String(); text1 != text2 {
 			t.Fatalf("seed %d: unstable rendering", seed)
 		}
+	}
+}
+
+var (
+	counterAssign = regexp.MustCompile(`^\s*(c\d+_\d+) = (.*);$`)
+	counterInit   = regexp.MustCompile(`^[1-4]$`)
+)
+
+// TestLoopCountersOnlyDecremented: a loop counter is assigned only by
+// its initialisation and by its own decrement, so no statement in the
+// loop body can keep the loop running.
+func TestLoopCountersOnlyDecremented(t *testing.T) {
+	loops := 0
+	for seed := int64(0); seed < 500; seed++ {
+		for _, cfg := range []Config{{}, {Exceptions: true}, {Exceptions: true, Procs: 5, MaxDepth: 3}} {
+			for _, line := range strings.Split(Generate(seed, cfg), "\n") {
+				m := counterAssign.FindStringSubmatch(line)
+				if m == nil {
+					continue
+				}
+				if counterInit.MatchString(m[2]) {
+					loops++
+				} else if m[2] != m[1]+" - 1" {
+					t.Fatalf("seed %d %+v: loop counter assigned by %q", seed, cfg, strings.TrimSpace(line))
+				}
+			}
+		}
+	}
+	if loops == 0 {
+		t.Fatal("no generated program has a loop")
 	}
 }

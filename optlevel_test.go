@@ -2,9 +2,7 @@ package cmm_test
 
 import (
 	"fmt"
-	"os"
 	"regexp"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -21,31 +19,13 @@ import (
 // optimized code, and the Hennessy-1981 ablation composed with the
 // interprocedural pass.
 
-// sweepSeeds reads the seed range from CMM_SWEEP_SEEDS: "N" means seeds
-// 0..N-1, "lo-hi" is inclusive. The default range is 0..19 — sized so a
-// plain `go test ./...` fits the default per-package timeout on a
-// single-core box; CI widens it to 0-39 via the env var. -short trims
-// it further.
-func sweepSeeds(t *testing.T) (int64, int64) {
-	if spec := os.Getenv("CMM_SWEEP_SEEDS"); spec != "" {
-		if lo, hi, ok := strings.Cut(spec, "-"); ok {
-			l, err1 := strconv.ParseInt(lo, 10, 64)
-			h, err2 := strconv.ParseInt(hi, 10, 64)
-			if err1 != nil || err2 != nil || h < l {
-				t.Fatalf("bad CMM_SWEEP_SEEDS %q (want N or lo-hi)", spec)
-			}
-			return l, h
-		}
-		n, err := strconv.ParseInt(spec, 10, 64)
-		if err != nil || n < 1 {
-			t.Fatalf("bad CMM_SWEEP_SEEDS %q (want N or lo-hi)", spec)
-		}
-		return 0, n - 1
-	}
+// sweepSeeds returns the inclusive seed range of the randomized
+// sweeps: 0..39, or 0..7 under -short.
+func sweepSeeds() (int64, int64) {
 	if testing.Short() {
 		return 0, 7
 	}
-	return 0, 19
+	return 0, 39
 }
 
 // obsSignature reduces an event trace to its optimization-stable core:
@@ -125,10 +105,9 @@ func normalizeTrap(trap string) string { return trapPC.ReplaceAllString(trap, "p
 // exceptions on and off, several inputs — at -O0 and -O2 and requires
 // identical results, identical traps, and identical observable event
 // streams. Each level runs on both engines (ref, the spec, and
-// native), which must agree exactly with each other at that level. The seed range is CMM_SWEEP_SEEDS-configurable so CI can
-// widen it without a code change.
+// native), which must agree exactly with each other at that level.
 func TestOptLevelDifferentialSweep(t *testing.T) {
-	lo, hi := sweepSeeds(t)
+	lo, hi := sweepSeeds()
 	for seed := lo; seed <= hi; seed++ {
 		for _, exc := range []bool{false, true} {
 			src := progen.Generate(seed, progen.Config{Exceptions: exc})

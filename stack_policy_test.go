@@ -69,10 +69,10 @@ func replays(mach *cmm.Machine) ([]cmm.StackStats, error) {
 // exceptions on and off — at -O0 and -O2, once observed on native and
 // once on ref, and requires the four replays of the two traces to be
 // equal, or both to refuse with the truncation error (a program that
-// overflows the trace buffer). The seed range is CMM_SWEEP_SEEDS-
-// configurable, exactly like the optimizer sweep.
+// overflows the trace buffer). It sweeps the optimizer sweep's seed
+// range.
 func TestStackPolicyPassivitySweep(t *testing.T) {
-	lo, hi := sweepSeeds(t)
+	lo, hi := sweepSeeds()
 	for seed := lo; seed <= hi; seed++ {
 		for _, exc := range []bool{false, true} {
 			src := progen.Generate(seed, progen.Config{Exceptions: exc})
