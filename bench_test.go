@@ -80,7 +80,7 @@ func BenchmarkFigure1_Sp3(b *testing.B) { benchFigure1(b, "sp3") }
 // mechanisms pay per frame.
 
 // The five mechanism programs live in internal/paper (fig2.go) so the
-// observability golden tests and cmd/cmmbench share them.
+// observability golden tests and the EXPERIMENTS.md tables share them.
 const (
 	fig2CutSrc           = paper.Fig2Cut
 	fig2RuntimeCutSrc    = paper.Fig2RuntimeCut
@@ -195,7 +195,7 @@ func BenchmarkNativeCut2(b *testing.B) {
 // frame, adding memory traffic on every iteration.
 
 // The kernel sources live in internal/paper (workloads.go) so the
-// -O0/-O2 golden suite and cmd/cmmbench -olevels share them.
+// -O0/-O2 golden suite and EXPERIMENTS.md's -O0 vs -O2 table share them.
 const calleeSavesSrc = paper.CalleeSavesKernel
 
 // calleeSavesCutSrc is the same kernel, but the call can cut to a local

@@ -262,24 +262,6 @@ loop:
 	}
 }
 
-// TestCmmbenchTool: the figure regenerator emits the Figure 2 table with
-// the cycle counts EXPERIMENTS.md quotes.
-func TestCmmbenchTool(t *testing.T) {
-	if testing.Short() {
-		t.Skip("tool smoke tests build binaries")
-	}
-	out := runTool(t, "./cmd/cmmbench")
-	for _, want := range []string{
-		"| cut to (generated) | 148 | 540 | 3676 |",
-		"| SetActivation+SetUnwindCont | 311 | 1627 | 12155 |",
-		"jmp_buf words",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("cmmbench figure output lacks %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestCmmcTool(t *testing.T) {
 	if testing.Short() {
 		t.Skip("tool smoke tests build binaries")

@@ -89,6 +89,12 @@ type optimizer struct {
 	// the Entry node). foldBranches and deadCode walk again when they
 	// change an edge.
 	nodes []*cfg.Node
+
+	// solve's buffers, reused across rounds.
+	in, out, merged []lat
+	pos             []int32
+	preds           [][]int32
+	dirty           []bool
 }
 
 func newOptimizer(g *cfg.Graph, info *check.Info, opts Options, res *Result) *optimizer {
@@ -152,8 +158,10 @@ func (o *optimizer) propagate() {
 			n.RHS = rewrite(n.RHS)
 		}
 		if n.LHSMem != nil {
-			n.LHSMem = &syntax.MemExpr{Type: n.LHSMem.Type, Addr: rewrite(n.LHSMem.Addr)}
-			o.info.SetType(n.LHSMem, n.LHSMem.Type)
+			if addr := rewrite(n.LHSMem.Addr); addr != n.LHSMem.Addr {
+				n.LHSMem = &syntax.MemExpr{Type: n.LHSMem.Type, Addr: addr}
+				o.info.SetType(n.LHSMem, n.LHSMem.Type)
+			}
 		}
 		if n.Cond != nil {
 			n.Cond = rewrite(n.Cond)
@@ -173,21 +181,25 @@ func (o *optimizer) propagate() {
 // and what it skips would recompute the same vectors.
 func (o *optimizer) solve() []lat {
 	nodes, nv := o.nodes, len(o.vars)
-	pos := make([]int32, o.g.NumIDs())
+	pos := resize(&o.pos, o.g.NumIDs())
 	for i, n := range nodes {
 		pos[n.ID] = int32(i)
 	}
-	preds := make([][]int32, len(nodes))
+	preds := resize(&o.preds, len(nodes))
+	for i := range preds {
+		preds[i] = preds[i][:0]
+	}
 	for i, n := range nodes {
 		n.EachSucc(o.allEdges(), func(s *cfg.Node) { preds[pos[s.ID]] = append(preds[pos[s.ID]], int32(i)) })
 	}
-	in, out := make([]lat, len(nodes)*nv), make([]lat, len(nodes)*nv)
-	dirty := make([]bool, len(nodes))
+	in, out := resize(&o.in, len(nodes)*nv), resize(&o.out, len(nodes)*nv)
+	clear(in)
+	dirty := resize(&o.dirty, len(nodes))
 	for i, n := range nodes {
 		o.transfer(n, in[i*nv:(i+1)*nv], out[i*nv:(i+1)*nv])
 		dirty[i] = true
 	}
-	merged := make([]lat, nv)
+	merged := resize(&o.merged, nv)
 	for changed := true; changed; {
 		changed = false
 		for i, n := range nodes {
@@ -210,6 +222,16 @@ func (o *optimizer) solve() []lat {
 		}
 	}
 	return in
+}
+
+// resize returns *buf resliced to n elements, growing it when it is too
+// short. The contents are stale: callers overwrite or clear them.
+func resize[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
 }
 
 // transfer computes n's out vector from its in vector.
@@ -338,7 +360,9 @@ func mask(w int) uint64 {
 	return 1<<uint(w) - 1
 }
 
-// rewriteExpr substitutes constants and copies into e, bottom-up.
+// rewriteExpr substitutes constants and copies into e, bottom-up. It
+// returns e itself when nothing below it changed, so a round that
+// substitutes nothing allocates nothing and records no new types.
 func (o *optimizer) rewriteExpr(e syntax.Expr, vm []lat) syntax.Expr {
 	if e == nil {
 		return nil
@@ -366,26 +390,40 @@ func (o *optimizer) rewriteExpr(e syntax.Expr, vm []lat) syntax.Expr {
 		}
 		return e
 	case *syntax.MemExpr:
-		ne := &syntax.MemExpr{Type: e.Type, Addr: o.rewriteExpr(e.Addr, vm)}
-		o.info.SetType(ne, e.Type)
-		return ne
-	case *syntax.UnExpr:
-		ne := &syntax.UnExpr{Op: e.Op, X: o.rewriteExpr(e.X, vm)}
-		o.info.SetType(ne, o.typeOf(e))
-		return ne
-	case *syntax.BinExpr:
-		ne := &syntax.BinExpr{Op: e.Op, X: o.rewriteExpr(e.X, vm), Y: o.rewriteExpr(e.Y, vm)}
-		o.info.SetType(ne, o.typeOf(e))
-		return ne
-	case *syntax.PrimExpr:
-		ne := &syntax.PrimExpr{Name: e.Name}
-		for _, a := range e.Args {
-			ne.Args = append(ne.Args, o.rewriteExpr(a, vm))
+		if addr := o.rewriteExpr(e.Addr, vm); addr != e.Addr {
+			return o.typed(&syntax.MemExpr{Type: e.Type, Addr: addr}, e.Type)
 		}
-		o.info.SetType(ne, o.typeOf(e))
-		return ne
+	case *syntax.UnExpr:
+		if x := o.rewriteExpr(e.X, vm); x != e.X {
+			return o.typed(&syntax.UnExpr{Op: e.Op, X: x}, o.typeOf(e))
+		}
+	case *syntax.BinExpr:
+		x, y := o.rewriteExpr(e.X, vm), o.rewriteExpr(e.Y, vm)
+		if x != e.X || y != e.Y {
+			return o.typed(&syntax.BinExpr{Op: e.Op, X: x, Y: y}, o.typeOf(e))
+		}
+	case *syntax.PrimExpr:
+		var args []syntax.Expr // allocated at the first changed argument
+		for i, a := range e.Args {
+			na := o.rewriteExpr(a, vm)
+			if na != a && args == nil {
+				args = append(make([]syntax.Expr, 0, len(e.Args)), e.Args[:i]...)
+			}
+			if args != nil {
+				args = append(args, na)
+			}
+		}
+		if args != nil {
+			return o.typed(&syntax.PrimExpr{Name: e.Name, Args: args}, o.typeOf(e))
+		}
 	}
 	return e
+}
+
+// typed records the type of ne, a rewritten expression.
+func (o *optimizer) typed(ne syntax.Expr, t syntax.Type) syntax.Expr {
+	o.info.SetType(ne, t)
+	return ne
 }
 
 // --- Constant branch resolution ---

@@ -589,3 +589,48 @@ L:
 		t.Fatal("Optimize does not return on a loop of one dead assignment")
 	}
 }
+
+// exprPointers lists every expression a node of g holds, node by node.
+func exprPointers(g *cfg.Graph) []any {
+	var ps []any
+	for _, n := range g.Nodes() {
+		for _, e := range n.Exprs {
+			ps = append(ps, e)
+		}
+		ps = append(ps, n.LHSMem, n.RHS, n.Cond, n.Callee)
+	}
+	return ps
+}
+
+// TestReoptimizeKeepsExpressions: optimizing an already-optimized
+// procedure again rewrites nothing, so it must keep every expression a
+// node holds, pointer for pointer, instead of rebuilding (and
+// re-recording the type of) each one on every round.
+func TestReoptimizeKeepsExpressions(t *testing.T) {
+	checked := 0
+	for name, src := range propagateCorpus() {
+		p := build(t, src)
+		for _, pname := range p.Order {
+			g := p.Graphs[pname]
+			Optimize(g, p.Info, Options{})
+			before := exprPointers(g)
+			if res := Optimize(g, p.Info, Options{}); res.total() != 0 {
+				continue // the first run stopped at MaxRounds
+			}
+			checked++
+			after := exprPointers(g)
+			if len(after) != len(before) {
+				t.Fatalf("%s/%s: %d expressions before, %d after", name, pname, len(before), len(after))
+			}
+			for i := range before {
+				if before[i] != after[i] {
+					t.Errorf("%s/%s: expression %d rebuilt by a round that changed nothing", name, pname, i)
+					break
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no procedure reached a fixed point")
+	}
+}

@@ -11,7 +11,8 @@ import (
 // model. All share one shape: build a stack of depth d, then raise back
 // to a handler at the bottom. Cutting mechanisms dispatch in constant
 // time; unwinding mechanisms pay per frame. They are shared by the root
-// benchmarks, the observability golden tests, and cmd/cmmbench.
+// benchmarks, the observability golden tests, and the EXPERIMENTS.md
+// tables that TestExperimentsTables checks.
 
 // Fig2Cut raises by cutting the stack directly from generated code
 // (`cut to`, the in-code variant of stack cutting).

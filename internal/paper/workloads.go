@@ -3,11 +3,11 @@ package paper
 // This file declares the fixed cycle workloads behind the "-O0 vs -O2"
 // optimizer evaluation: the named benchmark programs whose simulated
 // cycles/op are pinned by golden files in testdata/bench/ (checked by
-// the root package's TestBenchGoldens) and printed for EXPERIMENTS.md by
-// cmd/cmmbench -olevels. The package holds data only (sources and run
-// recipes); the runners live with their callers, because simulated
-// cycles are deterministic — the same workload yields the same count
-// everywhere.
+// the root package's TestBenchGoldens) and quoted in EXPERIMENTS.md's
+// tables (checked by TestExperimentsTables). The package holds data
+// only (sources and run recipes); the runners live with their callers,
+// because simulated cycles are deterministic — the same workload yields
+// the same count everywhere.
 
 // CalleeSavesKernel keeps four values live across a call in a loop: the
 // §4.2 register-pressure kernel. With callee-saves registers the values
@@ -90,7 +90,8 @@ func wantVal(v uint64) *uint64 { return &v }
 
 // CycleWorkloads is the fixed benchmark set of the optimizer
 // evaluation, in report order. Names are stable: they key the golden
-// files in testdata/bench/ and the rows of the cmmbench -olevels table.
+// files in testdata/bench/ and the rows of EXPERIMENTS.md's -O0 vs -O2
+// table.
 var CycleWorkloads = []CycleWorkload{
 	{Name: "figure1_sp1", Src: Figure1, Proc: "sp1", Args: []uint64{20}, Want: wantVal(210)},
 	{Name: "figure1_sp2", Src: Figure1, Proc: "sp2", Args: []uint64{20}, Want: wantVal(210)},

@@ -15,6 +15,29 @@ import (
 	"strings"
 )
 
+// Diverging is a fixed program in the generator's shape (globals gv0
+// and gv1, entry "p0" taking one bits32 argument) whose loop never
+// exits. Generate never produces such a program, so the differential
+// tests run this one on purpose: it keeps the step caps, instruction
+// budgets and truncated-trace comparisons that would catch a looping
+// generated program exercised. -O2 folds v0 + 1, so an optimized run
+// gets further before its budget runs out.
+const Diverging = `bits32 gv0 = 1;
+bits32 gv1 = 2;
+p0(bits32 x) {
+    bits32 v0, v1;
+    v0 = 3;
+loop:
+    v1 = v0 + 1;
+    x = p1(x + v1);
+    gv0 = gv0 + x;
+    goto loop;
+}
+p1(bits32 x) {
+    return (x + gv1);
+}
+`
+
 // Config bounds the generator.
 type Config struct {
 	Procs      int  // number of procedures (default 3)

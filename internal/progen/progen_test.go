@@ -32,7 +32,10 @@ func build(t *testing.T, src string) *cfg.Program {
 	return p
 }
 
-func semRun(t *testing.T, p *cfg.Program, arg uint64) (uint64, bool) {
+// semRun runs p0(arg) on the abstract machine. Generated programs
+// terminate and handle what they raise, so any error, the step cap
+// included, fails the test.
+func semRun(t *testing.T, p *cfg.Program, arg uint64) uint64 {
 	t.Helper()
 	m, err := sem.New(p, sem.WithMaxSteps(3_000_000))
 	if err != nil {
@@ -40,17 +43,19 @@ func semRun(t *testing.T, p *cfg.Program, arg uint64) (uint64, bool) {
 	}
 	vs, err := m.Run("p0", arg)
 	if err != nil {
-		return 0, false
+		t.Fatalf("sem p0(%d): %v", arg, err)
 	}
 	if len(vs) != 1 {
 		t.Fatalf("p0 returned %d values", len(vs))
 	}
-	return vs[0].Bits, true
+	return vs[0].Bits
 }
 
-func vmRun(t *testing.T, p *cfg.Program, arg uint64) (uint64, bool) {
+// vmRun compiles p with opts and runs p0(arg) on a fresh instance
+// (generated programs mutate globals); any trap fails the test.
+func vmRun(t *testing.T, p *cfg.Program, opts codegen.Options, arg uint64) uint64 {
 	t.Helper()
-	cp, err := codegen.Compile(p, codegen.Options{})
+	cp, err := codegen.Compile(p, opts)
 	if err != nil {
 		t.Fatalf("generated program does not compile: %v", err)
 	}
@@ -60,9 +65,9 @@ func vmRun(t *testing.T, p *cfg.Program, arg uint64) (uint64, bool) {
 	}
 	res, err := inst.Run("p0", arg)
 	if err != nil {
-		return 0, false
+		t.Fatalf("vm p0(%d): %v", arg, err)
 	}
-	return res[0], true
+	return res[0]
 }
 
 // TestDifferentialSemVsCompiled: for many random programs and inputs,
@@ -74,13 +79,9 @@ func TestDifferentialSemVsCompiled(t *testing.T) {
 			p1 := build(t, src)
 			p2 := build(t, src)
 			for _, arg := range []uint64{0, 1, 7, 100} {
-				ref, okRef := semRun(t, p1, arg)
-				got, okGot := vmRun(t, p2, arg)
-				if okRef != okGot {
-					t.Fatalf("seed %d exc=%v arg=%d: sem ok=%v but vm ok=%v\n%s",
-						seed, exc, arg, okRef, okGot, src)
-				}
-				if okRef && ref != got {
+				ref := semRun(t, p1, arg)
+				got := vmRun(t, p2, codegen.Options{}, arg)
+				if ref != got {
 					t.Fatalf("seed %d exc=%v arg=%d: sem %d != vm %d\n%s",
 						seed, exc, arg, ref, got, src)
 				}
@@ -101,11 +102,9 @@ func TestOptimizationPreservesBehavior(t *testing.T) {
 				opt.Optimize(optd.Graphs[name], optd.Info, opt.Options{})
 			}
 			for _, arg := range []uint64{0, 3, 50} {
-				a, okA := semRun(t, ref, arg)
-				b, okB := semRun(t, optd, arg)
-				if okA != okB || (okA && a != b) {
-					t.Fatalf("seed %d exc=%v arg=%d: reference (%d,%v) != optimized (%d,%v)\n%s",
-						seed, exc, arg, a, okA, b, okB, src)
+				if a, b := semRun(t, ref, arg), semRun(t, optd, arg); a != b {
+					t.Fatalf("seed %d exc=%v arg=%d: reference %d != optimized %d\n%s",
+						seed, exc, arg, a, b, src)
 				}
 			}
 		}
@@ -123,11 +122,9 @@ func TestOptimizedCompiledAgree(t *testing.T) {
 			opt.Optimize(optd.Graphs[name], optd.Info, opt.Options{})
 		}
 		for _, arg := range []uint64{2, 9} {
-			a, okA := semRun(t, ref, arg)
-			b, okB := vmRun(t, optd, arg)
-			if okA != okB || (okA && a != b) {
-				t.Fatalf("seed %d arg=%d: sem (%d,%v) != optimized+compiled (%d,%v)\n%s",
-					seed, arg, a, okA, b, okB, src)
+			if a, b := semRun(t, ref, arg), vmRun(t, optd, codegen.Options{}, arg); a != b {
+				t.Fatalf("seed %d arg=%d: sem %d != optimized+compiled %d\n%s",
+					seed, arg, a, b, src)
 			}
 		}
 	}
@@ -164,58 +161,53 @@ func TestGeneratorDeterminism(t *testing.T) {
 // TestTestAndBranchBackendAgrees: the alternate-return ablation backend
 // computes the same results.
 func TestTestAndBranchBackendAgrees(t *testing.T) {
-	for seed := int64(200); seed < 220; seed++ {
-		src := Generate(seed, Config{Exceptions: true})
-		p1 := build(t, src)
-		p2 := build(t, src)
-		cp, err := codegen.Compile(p2, codegen.Options{TestAndBranch: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, arg := range []uint64{1, 8} {
-			// Fresh machines per argument: generated programs mutate
-			// globals, and the reference machine is fresh per run too.
-			inst, err := vm.NewInstance(cp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref, okRef := semRun(t, p1, arg)
-			res, err := inst.Run("p0", arg)
-			if okRef != (err == nil) {
-				t.Fatalf("seed %d arg %d: sem ok=%v vm err=%v\n%s", seed, arg, okRef, err, src)
-			}
-			if okRef && res[0] != ref {
-				t.Fatalf("seed %d arg %d: %d != %d\n%s", seed, arg, res[0], ref, src)
-			}
-		}
-	}
+	backendAgrees(t, 200, codegen.Options{TestAndBranch: true})
 }
 
 // TestNoCalleeSavesBackendAgrees: the callee-saves ablation backend
 // computes the same results.
 func TestNoCalleeSavesBackendAgrees(t *testing.T) {
-	for seed := int64(300); seed < 320; seed++ {
+	backendAgrees(t, 300, codegen.Options{DisableCalleeSaves: true})
+}
+
+// backendAgrees compares the abstract machine with code compiled under
+// opts on 20 generated programs from seed lo.
+func backendAgrees(t *testing.T, lo int64, opts codegen.Options) {
+	for seed := lo; seed < lo+20; seed++ {
 		src := Generate(seed, Config{Exceptions: true})
 		p1 := build(t, src)
 		p2 := build(t, src)
-		cp, err := codegen.Compile(p2, codegen.Options{DisableCalleeSaves: true})
-		if err != nil {
-			t.Fatal(err)
-		}
 		for _, arg := range []uint64{1, 8} {
-			inst, err := vm.NewInstance(cp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref, okRef := semRun(t, p1, arg)
-			res, err := inst.Run("p0", arg)
-			if okRef != (err == nil) {
-				t.Fatalf("seed %d arg %d: sem ok=%v vm err=%v\n%s", seed, arg, okRef, err, src)
-			}
-			if okRef && res[0] != ref {
-				t.Fatalf("seed %d arg %d: %d != %d\n%s", seed, arg, res[0], ref, src)
+			if ref, got := semRun(t, p1, arg), vmRun(t, p2, opts, arg); ref != got {
+				t.Fatalf("seed %d arg %d: %d != %d\n%s", seed, arg, got, ref, src)
 			}
 		}
+	}
+}
+
+// TestDivergingHitsCaps: Diverging, the one program that never returns,
+// ends in sem's step cap and in the VM's instruction budget, the limits
+// that turn a looping generated program into a test failure instead of
+// a hang.
+func TestDivergingHitsCaps(t *testing.T) {
+	m, err := sem.New(build(t, Diverging), sem.WithMaxSteps(100_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Run("p0", 7); err == nil || !strings.Contains(err.Error(), "exceeded 100000 steps") {
+		t.Errorf("sem: got %v, want the step cap", err)
+	}
+	cp, err := codegen.Compile(build(t, Diverging), codegen.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := vm.NewInstance(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst.M.MaxInstrs = 100_000
+	if _, err := inst.Run("p0", 7); err == nil || !strings.Contains(err.Error(), "instruction budget exceeded") {
+		t.Errorf("vm: got %v, want the instruction budget trap", err)
 	}
 }
 

@@ -317,7 +317,7 @@ func TestObserverSchedSection(t *testing.T) {
 
 // TestManyThreads exercises the M:N claim at test scale: a thousand
 // simulated threads over a handful of workers, every one isolated and
-// correct. (The benchmark pushes this to 10^4-10^6; see cmmbench -sched.)
+// correct. (perfbench's serve workload measures throughput at scale.)
 func TestManyThreads(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")

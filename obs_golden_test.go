@@ -15,22 +15,24 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite the observability golden files under testdata/obs")
 
-// obsMechanism is one Figure 2 design-space point, the same set
-// cmd/cmmbench measures: each exception mechanism leaves a distinct,
-// deterministic event stream, and these tests pin it byte-for-byte.
+// obsMechanism is one Figure 2 design-space point, the same set the
+// EXPERIMENTS.md Figure 2 table rows: each exception mechanism leaves a
+// distinct, deterministic event stream, and these tests pin it
+// byte-for-byte.
 type obsMechanism struct {
-	name       string
+	name       string // golden file stem
+	row        string // the EXPERIMENTS.md table label
 	src        string
 	dispatcher cmm.Dispatcher
 }
 
 func obsMechanisms() []obsMechanism {
 	return []obsMechanism{
-		{"cut", paper.Fig2Cut, nil},
-		{"runtime-cut", paper.Fig2RuntimeCut, cmm.NewRegisterDispatcher("handler")},
-		{"runtime-unwind", paper.Fig2RuntimeUnwind, cmm.NewUnwindDispatcher()},
-		{"native-unwind", paper.Fig2NativeUnwind, nil},
-		{"cps", paper.Fig2CPS, nil},
+		{"cut", "cut to (generated)", paper.Fig2Cut, nil},
+		{"runtime-cut", "SetCutToCont (runtime)", paper.Fig2RuntimeCut, cmm.NewRegisterDispatcher("handler")},
+		{"runtime-unwind", "SetActivation+SetUnwindCont", paper.Fig2RuntimeUnwind, cmm.NewUnwindDispatcher()},
+		{"native-unwind", "return ⟨m/n⟩ (generated)", paper.Fig2NativeUnwind, nil},
+		{"cps", "CPS tail call", paper.Fig2CPS, nil},
 	}
 }
 

@@ -2,7 +2,6 @@ package cmm_test
 
 import (
 	"fmt"
-	"regexp"
 	"strings"
 	"testing"
 
@@ -14,8 +13,8 @@ import (
 
 // The -O2 correctness contract: optimization may change cycle counts
 // but never observable behavior. This file enforces it three ways — a
-// randomized differential sweep (results, traps, and observable event
-// streams identical at -O0 and -O2), ref-vs-native engine parity of the
+// randomized differential sweep (results and observable event streams
+// identical at -O0 and -O2), ref-vs-native engine parity of the
 // optimized code, and the Hennessy-1981 ablation composed with the
 // interprocedural pass.
 
@@ -48,8 +47,9 @@ func obsSignature(trace []obs.Event) []string {
 
 // runAtLevel compiles src fresh at the given -O level and runs proc
 // under an observer, returning the results (nil on trap), the trap
-// message, and the stable event signature.
-func runAtLevel(t *testing.T, src string, level int, e cmm.Engine, proc string, args ...uint64) ([]uint64, string, []string) {
+// message, and the stable event signature. A nonzero budget replaces
+// the machine's instruction budget.
+func runAtLevel(t *testing.T, src string, level int, e cmm.Engine, budget int64, proc string, args ...uint64) ([]uint64, string, []string) {
 	t.Helper()
 	mod, err := cmm.Load(src)
 	if err != nil {
@@ -64,6 +64,9 @@ func runAtLevel(t *testing.T, src string, level int, e cmm.Engine, proc string, 
 	mach, err := mod.Native(cmm.CompileConfig{Opt: level}, cmm.WithObserver(o), cmm.WithEngine(e))
 	if err != nil {
 		t.Fatalf("-O%d compile: %v", level, err)
+	}
+	if budget != 0 {
+		mach.SetMaxInstrs(budget)
 	}
 	res, err := mach.Run(proc, args...)
 	trap := ""
@@ -95,17 +98,13 @@ func diffSignatures(t *testing.T, label string, o0, o2 []string, prefixOnly bool
 	}
 }
 
-var trapPC = regexp.MustCompile(`pc=\d+`)
-
-// normalizeTrap strips the trapping pc from a trap message: code layout
-// moves under optimization, but the trap REASON may not.
-func normalizeTrap(trap string) string { return trapPC.ReplaceAllString(trap, "pc=?") }
-
 // TestOptLevelDifferentialSweep runs randomized progen programs —
 // exceptions on and off, several inputs — at -O0 and -O2 and requires
-// identical results, identical traps, and identical observable event
-// streams. Each level runs on both engines (ref, the spec, and
-// native), which must agree exactly with each other at that level.
+// identical results and identical observable event streams. Generated
+// programs terminate and handle what they raise, so any trap fails.
+// progen.Diverging, which never returns, keeps the budget path tested:
+// both levels must end in the instruction budget with event streams
+// that agree as prefixes.
 func TestOptLevelDifferentialSweep(t *testing.T) {
 	lo, hi := sweepSeeds()
 	for seed := lo; seed <= hi; seed++ {
@@ -113,53 +112,65 @@ func TestOptLevelDifferentialSweep(t *testing.T) {
 			src := progen.Generate(seed, progen.Config{Exceptions: exc})
 			for _, arg := range []uint64{0, 7, 100} {
 				label := fmt.Sprintf("seed=%d/exc=%v/arg=%d", seed, exc, arg)
-				res0, trap0, sig0 := runAtLevel(t, src, 0, cmm.EngineRef, "p0", arg)
-				res2, trap2, sig2 := runAtLevel(t, src, 2, cmm.EngineRef, "p0", arg)
-				// Within one level the engines are bit-identical, so the
-				// comparison is exact: same results, same trap text, same
-				// full event stream.
-				for _, lv := range []struct {
-					level int
-					res   []uint64
-					trap  string
-					sig   []string
-				}{{0, res0, trap0, sig0}, {2, res2, trap2, sig2}} {
-					rN, tN, sN := runAtLevel(t, src, lv.level, cmm.EngineNative, "p0", arg)
-					nlabel := fmt.Sprintf("%s/-O%d/native", label, lv.level)
-					if tN != lv.trap {
-						t.Errorf("%s: trap mismatch vs ref: %q vs %q", nlabel, tN, lv.trap)
-						continue
-					}
-					if fmt.Sprint(rN) != fmt.Sprint(lv.res) {
-						t.Errorf("%s: result mismatch vs ref: %v vs %v", nlabel, rN, lv.res)
-					}
-					diffSignatures(t, nlabel, lv.sig, sN, false)
+				if trap0, trap2 := compareOptLevels(t, label, src, 0, arg); trap0 != "" || trap2 != "" {
+					t.Errorf("%s: a generated program trapped: -O0 %q, -O2 %q", label, trap0, trap2)
 				}
-				// A budget trap is a resource limit, not program
-				// semantics: the optimized code retires fewer
-				// instructions, so it truncates the same execution at a
-				// different point (or completes where -O0 could not).
-				// Event streams must still agree as prefixes.
-				budget := strings.Contains(trap0, "instruction budget") ||
-					strings.Contains(trap2, "instruction budget")
-				if budget {
-					diffSignatures(t, label, sig0, sig2, true)
-					continue
-				}
-				if normalizeTrap(trap0) != normalizeTrap(trap2) {
-					t.Errorf("%s: trap mismatch: -O0 %q, -O2 %q", label, trap0, trap2)
-					continue
-				}
-				// p0 declares one result; registers past it are scratch
-				// and legitimately hold frame addresses that move when
-				// frames shrink.
-				if trap0 == "" && res0[0] != res2[0] {
-					t.Errorf("%s: result mismatch: -O0 %d, -O2 %d", label, res0[0], res2[0])
-				}
-				diffSignatures(t, label, sig0, sig2, false)
 			}
 		}
 	}
+	trap0, trap2 := compareOptLevels(t, "diverging", progen.Diverging, 1_000_000, 7)
+	if !isBudgetTrap(trap0) || !isBudgetTrap(trap2) {
+		t.Errorf("diverging: want the instruction budget at both levels, got -O0 %q, -O2 %q", trap0, trap2)
+	}
+}
+
+func isBudgetTrap(trap string) bool { return strings.Contains(trap, "instruction budget") }
+
+// compareOptLevels runs p0(arg) of src at -O0 and -O2, each on both
+// engines (ref, the spec, and native), and returns the two levels'
+// traps. Within one level the engines must agree exactly. Across levels
+// the results and observable event streams of two returning runs must
+// agree, and a budget-capped run's stream must agree as a prefix; any
+// other trap is the caller's to judge.
+func compareOptLevels(t *testing.T, label, src string, budget int64, arg uint64) (trap0, trap2 string) {
+	t.Helper()
+	res0, trap0, sig0 := runAtLevel(t, src, 0, cmm.EngineRef, budget, "p0", arg)
+	res2, trap2, sig2 := runAtLevel(t, src, 2, cmm.EngineRef, budget, "p0", arg)
+	// Within one level the engines are bit-identical, so the comparison
+	// is exact: same results, same trap text, same full event stream.
+	for _, lv := range []struct {
+		level int
+		res   []uint64
+		trap  string
+		sig   []string
+	}{{0, res0, trap0, sig0}, {2, res2, trap2, sig2}} {
+		rN, tN, sN := runAtLevel(t, src, lv.level, cmm.EngineNative, budget, "p0", arg)
+		nlabel := fmt.Sprintf("%s/-O%d/native", label, lv.level)
+		if tN != lv.trap {
+			t.Errorf("%s: trap mismatch vs ref: %q vs %q", nlabel, tN, lv.trap)
+			continue
+		}
+		if fmt.Sprint(rN) != fmt.Sprint(lv.res) {
+			t.Errorf("%s: result mismatch vs ref: %v vs %v", nlabel, rN, lv.res)
+		}
+		diffSignatures(t, nlabel, lv.sig, sN, false)
+	}
+	switch {
+	case isBudgetTrap(trap0) || isBudgetTrap(trap2):
+		// A budget trap is a resource limit, not program semantics: the
+		// optimized code retires fewer instructions, so it truncates the
+		// same execution at a different point (or completes where -O0
+		// could not). Event streams must still agree as prefixes.
+		diffSignatures(t, label, sig0, sig2, true)
+	case trap0 == "" && trap2 == "":
+		// p0 declares one result; registers past it are scratch and
+		// legitimately hold frame addresses that move when frames shrink.
+		if res0[0] != res2[0] {
+			t.Errorf("%s: result mismatch: -O0 %d, -O2 %d", label, res0[0], res2[0])
+		}
+		diffSignatures(t, label, sig0, sig2, false)
+	}
+	return trap0, trap2
 }
 
 // scaledArgs replaces each workload's golden arguments with sizes that
@@ -260,7 +271,7 @@ g(bits32 x) { return (x + 1); }
 
 func TestBankExhaustionExecution(t *testing.T) {
 	for _, level := range []int{0, 1, 2} {
-		res, trap, _ := runAtLevel(t, bankExhaustSrc, level, cmm.EngineNative, "f", 5)
+		res, trap, _ := runAtLevel(t, bankExhaustSrc, level, cmm.EngineNative, 0, "f", 5)
 		if trap != "" {
 			t.Fatalf("-O%d: %s", level, trap)
 		}
