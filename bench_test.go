@@ -128,9 +128,10 @@ const fig34Src = paper.Fig34
 
 func benchFig34(b *testing.B, testAndBranch bool) {
 	mach := benchMachine(b, fig34Src, cmm.CompileConfig{TestAndBranch: testAndBranch})
+	runSim(b, mach, nil, "f", 1000)
+	// After runSim: its ResetTimer deletes metrics reported before it.
 	b.ReportMetric(float64(mach.CodeSize("f")), "callerwords")
 	b.ReportMetric(float64(mach.CodeSize("g")), "calleewords")
-	runSim(b, mach, nil, "f", 1000)
 }
 
 func BenchmarkFig34_BranchTable(b *testing.B)   { benchFig34(b, false) }

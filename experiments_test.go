@@ -31,8 +31,13 @@ func TestExperimentsTables(t *testing.T) {
 		name   string
 		render func(*testing.T) string
 	}{
+		{"figure1", figure1Table},
 		{"fig2", fig2Table},
+		{"fig34", fig34Table},
 		{"setjmp", setjmpTable},
+		{"calleesaves", calleeSavesTable},
+		{"divu", divTable},
+		{"opt", optTable},
 		{"olevels", olevelsTable},
 		{"cmmstacks", stacksTable},
 	} {
@@ -59,6 +64,125 @@ func TestExperimentsTables(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// benchRun runs proc once on src, optimized at IR level irLevel and
+// compiled under cc, the way the root benchmark of the same program
+// builds it. Every run is deterministic, so its counters are the
+// benchmark's per-op numbers.
+func benchRun(t *testing.T, src string, irLevel int, cc cmm.CompileConfig, proc string, args ...uint64) *cmm.Machine {
+	t.Helper()
+	mod, err := cmm.Load(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mod.ApplyOpt(irLevel); err != nil {
+		t.Fatal(err)
+	}
+	mach, err := mod.Native(cc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mach.Run(proc, args...); err != nil {
+		t.Fatalf("%s%v: %v", proc, args, err)
+	}
+	return mach
+}
+
+// figure1Table renders BenchmarkFigure1_*: the three sum-and-product
+// procedures at n=20.
+func figure1Table(t *testing.T) string {
+	var b strings.Builder
+	b.WriteString("| procedure | cycles/op | instrs/op | mem/op |\n")
+	b.WriteString("|---|---|---|---|\n")
+	for _, r := range []struct{ label, proc string }{
+		{"sp1 (recursion)", "sp1"},
+		{"sp2 (tail calls)", "sp2"},
+		{"sp3 (loop)", "sp3"},
+	} {
+		s := benchRun(t, paper.Figure1, 0, cmm.CompileConfig{}, r.proc, 20).Stats()
+		fmt.Fprintf(&b, "| %s | %d | %d | %d |\n", r.label, s.Cycles, s.Instrs, s.Loads+s.Stores)
+	}
+	return b.String()
+}
+
+// fig34Table renders BenchmarkFig34_*: 1000 normal returns through a
+// call site with two alternates, and the caller's code size.
+func fig34Table(t *testing.T) string {
+	var b strings.Builder
+	b.WriteString("| method | cycles/op | instrs/op | caller size (words) |\n")
+	b.WriteString("|---|---|---|---|\n")
+	for _, r := range []struct {
+		label string
+		tab   bool
+	}{{"branch table", false}, {"test-and-branch", true}} {
+		mach := benchRun(t, fig34Src, 0, cmm.CompileConfig{TestAndBranch: r.tab}, "f", 1000)
+		s := mach.Stats()
+		fmt.Fprintf(&b, "| %s | %d | %d | %d |\n", r.label, s.Cycles, s.Instrs, mach.CodeSize("f"))
+	}
+	return b.String()
+}
+
+// calleeSavesTable renders BenchmarkCalleeSaves_*: the §4.2 kernel with
+// four values live across a call, 200 iterations.
+func calleeSavesTable(t *testing.T) string {
+	var b strings.Builder
+	b.WriteString("| configuration | cycles/op | mem/op |\n")
+	b.WriteString("|---|---|---|\n")
+	for _, r := range []struct {
+		label string
+		src   string
+		cc    cmm.CompileConfig
+	}{
+		{"callee-saves used (plain calls)", calleeSavesSrc, cmm.CompileConfig{}},
+		{"same kernel, call has a cut edge", calleeSavesCutSrc, cmm.CompileConfig{}},
+		{"callee-saves disabled entirely", calleeSavesSrc, cmm.CompileConfig{NoCalleeSaves: true}},
+	} {
+		s := benchRun(t, r.src, 0, r.cc, "kernel", 200).Stats()
+		fmt.Fprintf(&b, "| %s | %d | %d |\n", r.label, s.Cycles, s.Loads+s.Stores)
+	}
+	return b.String()
+}
+
+// divTable renders BenchmarkDiv_*: 200 divisions by a nonzero divisor
+// with the fast and the solid primitive.
+func divTable(t *testing.T) string {
+	var b strings.Builder
+	b.WriteString("| primitive | cycles/op |\n")
+	b.WriteString("|---|---|\n")
+	for _, r := range []struct{ label, proc string }{
+		{"`%divu` (fast: one instruction)", "fast"},
+		{"`%%divu` (solid: a call and a test per division)", "solid"},
+	} {
+		s := benchRun(t, divSrc, 0, cmm.CompileConfig{}, r.proc, 200, 3).Stats()
+		fmt.Fprintf(&b, "| %s | %d |\n", r.label, s.Cycles)
+	}
+	return b.String()
+}
+
+// optTable renders BenchmarkOpt_*: the handler-rich §6 loop without
+// optimization, after the scalar passes with the annotation edges, and
+// at -O2.
+func optTable(t *testing.T) string {
+	var b strings.Builder
+	b.WriteString("| optimization | cycles/op | mem/op |\n")
+	b.WriteString("|---|---|---|\n")
+	for _, r := range []struct {
+		label string
+		level int
+	}{
+		{"none (`BenchmarkOpt_None`)", 0},
+		{"scalar passes, edges kept (`BenchmarkOpt_WithEdges`)", 1},
+		{"-O2 (`BenchmarkOpt_O2`)", 2},
+	} {
+		cc := cmm.CompileConfig{}
+		if r.level == 2 {
+			cc.Opt = 2
+		}
+		s := benchRun(t, optSrc, r.level, cc, "f", 100).Stats()
+		fmt.Fprintf(&b, "| %s | %d | %d |\n", r.label, s.Cycles, s.Loads+s.Stores)
+	}
+	return b.String()
 }
 
 // fig2Table renders Figure 2's scenario: simulated cycles to build a

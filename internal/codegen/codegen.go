@@ -20,7 +20,6 @@ package codegen
 
 import (
 	"fmt"
-	"sort"
 
 	"cmm/internal/cfg"
 	"cmm/internal/dataflow"
@@ -91,8 +90,6 @@ type ProcInfo struct {
 type Program struct {
 	Code       []machine.Instr
 	Procs      map[string]*ProcInfo
-	ProcByPC   []*ProcInfo // sorted by Entry for pc lookup
-	CallSites  map[int]*CallSite
 	Img        *cfg.Image
 	GlobalAddr map[string]uint64
 	GlobalInit map[string]uint64
@@ -100,13 +97,28 @@ type Program struct {
 	HeapStart  uint64   // first free address past globals
 	Source     *cfg.Program
 	Opts       Options
+
+	// The run-time procedure tables, dense by instruction index: the
+	// procedure containing each pc, and the call site whose return pc it
+	// is (nil elsewhere). Link builds them once; the stack walk reads
+	// them with one index per frame, and clones share them read-only.
+	procAt []*ProcInfo
+	siteAt []*CallSite
 }
 
 // ProcAt finds the procedure containing instruction index pc.
 func (p *Program) ProcAt(pc int) *ProcInfo {
-	i := sort.Search(len(p.ProcByPC), func(i int) bool { return p.ProcByPC[i].End > pc })
-	if i < len(p.ProcByPC) && pc >= p.ProcByPC[i].Entry {
-		return p.ProcByPC[i]
+	if uint(pc) < uint(len(p.procAt)) {
+		return p.procAt[pc]
+	}
+	return nil
+}
+
+// SiteAt finds the call site whose return pc is pc: the suspended call
+// or yield of an activation stopped there. It is nil for any other pc.
+func (p *Program) SiteAt(pc int) *CallSite {
+	if uint(pc) < uint(len(p.siteAt)) {
+		return p.siteAt[pc]
 	}
 	return nil
 }
@@ -234,15 +246,21 @@ func (lay *Layout) EmitProc(name string) (*ProcChunk, error) {
 // addresses. The chunk order determines the code layout; Compile and the
 // pipeline both pass src.Order.
 func (lay *Layout) Link(chunks []*ProcChunk) (*Program, error) {
+	n := 0
+	for _, ch := range chunks {
+		n += len(ch.Code)
+	}
 	cp := &Program{
+		Code:       make([]machine.Instr, 0, n),
 		Procs:      map[string]*ProcInfo{},
-		CallSites:  map[int]*CallSite{},
 		GlobalAddr: lay.globalAddr,
 		GlobalInit: lay.globalInit,
 		Foreigns:   lay.foreigns,
 		HeapStart:  lay.heapStart,
 		Source:     lay.src,
 		Opts:       lay.opts,
+		procAt:     make([]*ProcInfo, n),
+		siteAt:     make([]*CallSite, n),
 	}
 	var nameFixups []fixup
 	for _, ch := range chunks {
@@ -267,7 +285,9 @@ func (lay *Layout) Link(chunks []*ProcChunk) (*Program, error) {
 			pi.ContEntries[cont] = pc + base
 		}
 		cp.Procs[ch.Name] = pi
-		cp.ProcByPC = append(cp.ProcByPC, pi)
+		for pc := pi.Entry; pc < pi.End; pc++ {
+			cp.procAt[pc] = pi
+		}
 		for _, site := range ch.Sites {
 			site.RetPC += base
 			for i := range site.ReturnPCs {
@@ -279,7 +299,9 @@ func (lay *Layout) Link(chunks []*ProcChunk) (*Program, error) {
 			for i := range site.CutPCs {
 				site.CutPCs[i] += base
 			}
-			cp.CallSites[site.RetPC] = site
+			if site.RetPC < n {
+				cp.siteAt[site.RetPC] = site
+			}
 		}
 	}
 	for _, fx := range nameFixups {
@@ -313,7 +335,6 @@ func (lay *Layout) Link(chunks []*ProcChunk) (*Program, error) {
 	}
 	cp.Img = img
 
-	sort.Slice(cp.ProcByPC, func(i, j int) bool { return cp.ProcByPC[i].Entry < cp.ProcByPC[j].Entry })
 	if lay.opts.Opt >= 2 {
 		threadJumps(cp.Code)
 	}

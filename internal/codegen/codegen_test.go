@@ -138,8 +138,8 @@ continuation k2:
 g() { return (1); }
 `, Options{})
 	var site *CallSite
-	for _, s := range cp.CallSites {
-		if len(s.UnwindPCs) == 2 {
+	for pc := range cp.Code {
+		if s := cp.SiteAt(pc); s != nil && len(s.UnwindPCs) == 2 {
 			site = s
 		}
 	}

@@ -118,7 +118,8 @@ func TestEngineParityRandomSweep(t *testing.T) {
 // TestEngineParityVsSemantics closes the triangle: the native engine
 // must also agree with the §5 abstract machine on results (the counters
 // are compared native-vs-ref above; the semantics has no machine
-// counters).
+// counters). Generated programs return, so an error on either side fails
+// the test: two failures are not an agreement.
 func TestEngineParityVsSemantics(t *testing.T) {
 	seeds := 12
 	if testing.Short() {
@@ -135,11 +136,11 @@ func TestEngineParityVsSemantics(t *testing.T) {
 				}
 				semRes, semErr := sm.Run("p0", arg)
 				nat := runOnEngine(t, cp, machine.EngineNative, 0, "p0", []uint64{arg})
-				if (semErr == nil) != (nat.err == "") {
+				if semErr != nil || nat.err != "" {
 					t.Errorf("seed %d exc=%v arg=%d: sem err=%v, native err=%q", seed, exc, arg, semErr, nat.err)
 					continue
 				}
-				if semErr == nil && semRes[0].Bits != nat.res[0] {
+				if semRes[0].Bits != nat.res[0] {
 					t.Errorf("seed %d exc=%v arg=%d: sem %d, native %d\n%s",
 						seed, exc, arg, semRes[0].Bits, nat.res[0], src)
 				}

@@ -10,32 +10,65 @@ import (
 
 // Thread is the Table 1 view of the suspended C-- computation, valid
 // during a yield. It is the compiled-code analogue of the interface the
-// abstract machine exposes in internal/sem.
+// abstract machine exposes in internal/sem. Each Instance owns one
+// Thread and resets it on every yield, so entering the run-time system
+// allocates nothing.
 type Thread struct {
 	inst    *Instance
 	resumed bool
 
 	// pending resumption
-	target    *Activation
+	target    *frame
 	unwindIdx int
 	returnIdx int
 	haveIdx   bool
 	cutK      uint64
 	haveCut   bool
 	params    []uint64
+
+	// args holds the yield's a-registers for the run-time system.
+	args [machine.NumA]uint64
+	// root heads the walk's activation records, linked by depth and
+	// kept across yields. The record at depth d is only ever written
+	// with depth d's activation, so a handle stays valid until Resume
+	// returns, however deep the walk goes after it was taken.
+	root *frame
+	// walked counts the records this yield's walk has filled, from the
+	// root down; stored reports a memory write by the run-time system,
+	// after which memory may no longer match them.
+	walked int32
+	stored bool
 }
 
-// Activation is one suspended activation: the return pc of its suspended
-// call site, its frame base, and the callee-saves register values in
-// force when it was suspended (reconstructed by the walk, exactly as
-// NextActivation "restores the values of callee-saves registers as it
-// unwinds the stack").
-type Activation struct {
-	t     *Thread
-	pc    int
+// state is what the walk knows of one suspended activation: the return
+// pc of its suspended call site, its frame base, the callee-saves
+// register values in force when it was suspended (reconstructed by the
+// walk, exactly as NextActivation "restores the values of callee-saves
+// registers as it unwinds the stack"), and its depth below the yield.
+// pc and depth are int32, as in obs.Event, so that a frame is 96 bytes.
+type state struct {
+	pc    int32
+	depth int32
 	sp    uint64
 	sregs [machine.NumS]uint64
-	depth int
+}
+
+// frame is the thread's record of the activation at one depth.
+type frame struct {
+	state
+	t    *Thread
+	next *frame // the record one depth further down, once made
+}
+
+// Activation is a handle on one suspended activation, valid until the
+// yield's Resume returns. It is a single pointer, so passing it by value
+// or boxing it in an interface copies no frame and allocates nothing.
+type Activation struct{ f *frame }
+
+// reset clears the pending resumption for a new yield, keeping the
+// parameter buffer and the activation records.
+func (t *Thread) reset() {
+	*t = Thread{inst: t.inst, params: t.params[:0], root: t.root}
 }
 
 // charge adds simulated cycles for work the run-time system does on the
@@ -74,66 +107,90 @@ const walkOverhead = 8
 // FirstActivation returns the activation that yielded: its suspended
 // "call site" is the yield itself.
 func (t *Thread) FirstActivation() (Activation, bool) {
-	m := t.inst.M
-	a := Activation{t: t, pc: m.PC, sp: m.Regs[machine.RSP]}
-	for i := 0; i < machine.NumS; i++ {
-		a.sregs[i] = m.Regs[machine.RS0+machine.Reg(i)]
+	if t.root == nil {
+		t.root = &frame{t: t}
 	}
-	if t.inst.P.ProcAt(a.pc) == nil {
+	if !t.first(&t.root.state) {
 		return Activation{}, false
 	}
-	return a, true
+	t.walked = max(t.walked, 1)
+	return Activation{t.root}, true
+}
+
+// first loads the yielding activation from the machine registers into s.
+// It charges nothing; it is false when the pc is in no procedure.
+func (t *Thread) first(s *state) bool {
+	m := t.inst.M
+	s.pc, s.depth, s.sp = int32(m.PC), 0, m.Regs[machine.RSP]
+	copy(s.sregs[:], m.Regs[machine.RS0:])
+	return t.inst.P.ProcAt(m.PC) != nil
 }
 
 // NextActivation returns the activation to which a will return. ok is
 // false at the bottom of the stack (the entry stub).
 func (a Activation) NextActivation() (Activation, bool) {
-	pi := a.t.inst.P.ProcAt(a.pc)
-	if pi == nil {
+	f := a.f
+	if f.next == nil {
+		f.next = &frame{t: f.t}
+	}
+	next := f.next
+	next.state = f.state
+	if !f.t.advance(&next.state) {
 		return Activation{}, false
 	}
-	next := Activation{t: a.t, sregs: a.sregs, depth: a.depth + 1}
-	a.t.charge(walkOverhead)
+	f.t.walked = max(f.t.walked, next.depth+1)
+	return Activation{next}, true
+}
+
+// advance steps s in place to the activation it will return to,
+// charging the descriptor lookup and the loads and emitting the
+// KUnwindStep event. It is false at the bottom of the stack.
+func (t *Thread) advance(s *state) bool {
+	pi := t.inst.P.ProcAt(int(s.pc))
+	if pi == nil {
+		return false
+	}
+	t.charge(walkOverhead)
 	// Restore the callee-saves registers this procedure saved: they hold
 	// the caller's values.
 	for _, sr := range pi.SavedRegs {
-		v, err := a.t.loadCharged(a.sp+uint64(sr.Offset), 8)
+		v, err := t.loadCharged(s.sp+uint64(sr.Offset), 8)
 		if err != nil {
-			return Activation{}, false
+			return false
 		}
-		next.sregs[sr.Reg-machine.RS0] = v
+		s.sregs[sr.Reg-machine.RS0] = v
 	}
-	ra, err := a.t.loadCharged(a.sp+uint64(pi.RAOffset), 8)
+	ra, err := t.loadCharged(s.sp+uint64(pi.RAOffset), 8)
 	if err != nil {
-		return Activation{}, false
+		return false
 	}
 	idx, ok := machine.CodeIndex(ra)
-	if !ok {
-		return Activation{}, false
+	if !ok || idx >= t.inst.stubStart {
+		return false // returned to the entry stub: bottom
 	}
-	if idx >= a.t.inst.stubStart {
-		return Activation{}, false // returned to the entry stub: bottom
-	}
-	next.pc = idx
-	next.sp = a.sp + uint64(pi.FrameSize)
-	a.t.emit(obs.KUnwindStep, int32(next.pc), next.sp, uint64(next.depth), 0)
-	return next, true
+	s.pc = int32(idx)
+	s.sp += uint64(pi.FrameSize)
+	s.depth++
+	t.emit(obs.KUnwindStep, s.pc, s.sp, uint64(s.depth), 0)
+	return true
 }
 
 // ProcName reports the procedure whose activation this is.
-func (a Activation) ProcName() string {
-	if pi := a.t.inst.P.ProcAt(a.pc); pi != nil {
+func (a Activation) ProcName() string { return a.f.t.procName(a.f.pc) }
+
+func (t *Thread) procName(pc int32) string {
+	if pi := t.inst.P.ProcAt(int(pc)); pi != nil {
 		return pi.Name
 	}
 	return "?"
 }
 
-func (a Activation) site() *codegen.CallSite { return a.t.inst.P.CallSites[a.pc] }
+func (f *frame) site() *codegen.CallSite { return f.t.inst.P.SiteAt(int(f.pc)) }
 
 // DescriptorCount reports how many descriptors the front end deposited
 // at the suspended call site.
 func (a Activation) DescriptorCount() int {
-	if s := a.site(); s != nil {
+	if s := a.f.site(); s != nil {
 		return len(s.Descriptors)
 	}
 	return 0
@@ -141,9 +198,10 @@ func (a Activation) DescriptorCount() int {
 
 // GetDescriptor returns the n'th descriptor of the suspended call site.
 func (a Activation) GetDescriptor(n int) (uint64, bool) {
-	a.t.charge(walkOverhead / 2)
-	a.t.emit(obs.KDescLookup, int32(a.pc), a.sp, uint64(n), 0)
-	s := a.site()
+	f := a.f
+	f.t.charge(walkOverhead / 2)
+	f.t.emit(obs.KDescLookup, f.pc, f.sp, uint64(n), 0)
+	s := f.site()
 	if s == nil || n < 0 || n >= len(s.Descriptors) {
 		return 0, false
 	}
@@ -153,17 +211,14 @@ func (a Activation) GetDescriptor(n int) (uint64, bool) {
 // UnwindContCount reports how many continuations the suspended call site
 // lists in also unwinds to.
 func (a Activation) UnwindContCount() int {
-	if s := a.site(); s != nil {
+	if s := a.f.site(); s != nil {
 		return len(s.UnwindPCs)
 	}
 	return 0
 }
 
 // SetActivation arranges for the thread to resume with activation a.
-func (t *Thread) SetActivation(a Activation) {
-	aa := a
-	t.target = &aa
-}
+func (t *Thread) SetActivation(a Activation) { t.target = a.f }
 
 // SetUnwindCont arranges resumption at the n'th also-unwinds-to
 // continuation of the chosen activation's call site.
@@ -205,6 +260,7 @@ func (t *Thread) LoadWord(addr uint64, size int) (uint64, error) {
 
 // StoreWord lets run-time systems write simulated memory.
 func (t *Thread) StoreWord(addr, v uint64, size int) error {
+	t.stored = true
 	return t.inst.M.StoreWord(addr, v, size)
 }
 
@@ -224,8 +280,61 @@ func (t *Thread) GlobalWord(name string) (uint64, bool) {
 // SetGlobalWord writes a global register.
 func (t *Thread) SetGlobalWord(name string, v uint64) {
 	if addr, ok := t.inst.P.GlobalAddr[name]; ok {
+		t.stored = true
 		_ = t.inst.M.StoreWord(addr, v, 8)
 	}
+}
+
+// validateAborts checks the abort chain: every activation younger than
+// the target must be suspended at a call site annotated also aborts. It
+// is priced as a second walk from the yield to the target, charges and
+// events included. When the dispatcher's own walk filled the records down
+// to the target and memory has not changed since, the walk would read
+// exactly what they hold, so the records are replayed; otherwise the
+// stack is walked again on a cursor of its own, leaving the records the
+// dispatcher holds alone.
+func (t *Thread) validateAborts() error {
+	if t.target.t == t && !t.stored && t.target.depth < t.walked {
+		for f := t.root; f != t.target; f = f.next {
+			if err := t.checkAborts(f.pc); err != nil {
+				return err
+			}
+			t.replayAdvance(f)
+		}
+		return nil
+	}
+	var cur state
+	if !t.first(&cur) {
+		return fmt.Errorf("Resume: no activations")
+	}
+	for cur.depth < t.target.depth {
+		if err := t.checkAborts(cur.pc); err != nil {
+			return err
+		}
+		if !t.advance(&cur) {
+			return fmt.Errorf("Resume: target activation not found")
+		}
+	}
+	return nil
+}
+
+func (t *Thread) checkAborts(pc int32) error {
+	if s := t.inst.P.SiteAt(int(pc)); s == nil || !s.Abort {
+		return fmt.Errorf("unwinding past a call site in %s without also aborts", t.procName(pc))
+	}
+	return nil
+}
+
+// replayAdvance charges and emits what advance did when it stepped from
+// f to f.next, without reading memory again.
+func (t *Thread) replayAdvance(f *frame) {
+	m := t.inst.M
+	loads := int64(len(t.inst.P.ProcAt(int(f.pc)).SavedRegs)) + 1
+	t.charge(walkOverhead)
+	m.Stats.Loads += loads
+	t.charge(loads * m.Cost.Load)
+	n := f.next
+	t.emit(obs.KUnwindStep, n.pc, n.sp, uint64(n.depth), 0)
 }
 
 // Resume transfers control back to generated code as arranged. It
@@ -269,21 +378,8 @@ func (t *Thread) Resume() error {
 	if t.target == nil {
 		return fmt.Errorf("Resume without SetActivation or SetCutToCont")
 	}
-	// Validate the abort chain: every activation younger than the target
-	// must be suspended at a call site annotated also aborts.
-	cur, ok := t.FirstActivation()
-	if !ok {
-		return fmt.Errorf("Resume: no activations")
-	}
-	for cur.depth < t.target.depth {
-		s := cur.site()
-		if s == nil || !s.Abort {
-			return fmt.Errorf("unwinding past a call site in %s without also aborts", cur.ProcName())
-		}
-		cur, ok = cur.NextActivation()
-		if !ok {
-			return fmt.Errorf("Resume: target activation not found")
-		}
+	if err := t.validateAborts(); err != nil {
+		return err
 	}
 	a := t.target
 	site := a.site()

@@ -20,7 +20,9 @@ import (
 // a-registers; results go back the same way.
 type ForeignFunc func(inst *Instance, args []uint64) ([]uint64, error)
 
-// RuntimeSystem is the front-end run-time system entered on yield.
+// RuntimeSystem is the front-end run-time system entered on yield. The
+// thread and the args slice belong to the instance and are valid only
+// until Yield returns.
 type RuntimeSystem interface {
 	Yield(t *Thread, args []uint64) error
 }
@@ -42,6 +44,7 @@ type Instance struct {
 	stackTop  uint64
 	obs       *obs.Observer
 	foreign   map[string]ForeignFunc // retained so Clone can rebuild wrappers
+	thread    *Thread                // the Table 1 view, made on first use
 }
 
 // Option configures an Instance.
@@ -200,12 +203,9 @@ func (inst *Instance) installRuntime() {
 		if inst.RTS == nil {
 			return fmt.Errorf("yield with no run-time system installed")
 		}
-		t := &Thread{inst: inst}
-		args := make([]uint64, machine.NumA)
-		for j := 0; j < machine.NumA; j++ {
-			args[j] = m.Regs[machine.RA0+machine.Reg(j)]
-		}
-		if err := inst.RTS.Yield(t, args); err != nil {
+		t := inst.resetThread()
+		copy(t.args[:], m.Regs[machine.RA0:])
+		if err := inst.RTS.Yield(t, t.args[:]); err != nil {
 			return err
 		}
 		if !t.resumed {
@@ -213,6 +213,15 @@ func (inst *Instance) installRuntime() {
 		}
 		return nil
 	}
+}
+
+// resetThread returns the instance's thread, cleared for a new yield.
+func (inst *Instance) resetThread() *Thread {
+	if inst.thread == nil {
+		inst.thread = &Thread{inst: inst}
+	}
+	inst.thread.reset()
+	return inst.thread
 }
 
 // HeapStart returns the first free address past static data and globals,
@@ -353,7 +362,7 @@ func (inst *Instance) Clone() (*Instance, error) {
 // contract (ContMode) and its event, so a cancelled one-shot
 // continuation traps deterministically like any other reuse.
 func (inst *Instance) CancelCut(global string, params ...uint64) error {
-	t := &Thread{inst: inst}
+	t := inst.resetThread()
 	k, ok := t.GlobalWord(global)
 	if !ok {
 		return fmt.Errorf("no global %s", global)
