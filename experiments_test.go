@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"cmm"
+	"cmm/internal/minim3"
 	"cmm/internal/obs"
 	"cmm/internal/paper"
 )
@@ -40,6 +41,8 @@ func TestExperimentsTables(t *testing.T) {
 		{"opt", optTable},
 		{"olevels", olevelsTable},
 		{"cmmstacks", stacksTable},
+		{"tryamove", tryAMoveTable},
+		{"inference", inferenceTable},
 	} {
 		t.Run(s.name, func(t *testing.T) {
 			begin, end := "<!-- "+s.name+":begin -->\n", "<!-- "+s.name+":end -->"
@@ -279,6 +282,57 @@ func setjmpTable(t *testing.T) string {
 		}
 		s := mach.Stats()
 		fmt.Fprintf(&b, "| %s | %d | %d | %s |\n", r.label, s.Cycles, s.Loads+s.Stores, copied)
+	}
+	return b.String()
+}
+
+// minim3Cycles runs one call of proc on src compiled by the MiniM3 front
+// end, as one iteration of the benchmark that runs it does, and returns
+// its simulated cycles.
+func minim3Cycles(t *testing.T, src string, policy minim3.Policy, prune bool, proc string, args ...uint64) int64 {
+	t.Helper()
+	r, err := minim3.NewRunnerWith(src, policy, minim3.BackendVM, minim3.CompileOptions{Prune: prune})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.ResetStats()
+	if status, _, err := r.Call(proc, args...); err != nil || status != 0 {
+		t.Fatalf("%s%v: status %d, %v", proc, args, status, err)
+	}
+	return r.Stats().Cycles
+}
+
+// tryAMoveTable renders BenchmarkTryAMove_*: 100 TRY scopes under each
+// policy, raising every period iterations.
+func tryAMoveTable(t *testing.T) string {
+	var b strings.Builder
+	b.WriteString("| raise frequency | cutting | unwinding | native unwind |\n")
+	b.WriteString("|---|---|---|---|\n")
+	for _, r := range []struct {
+		label  string
+		period uint64
+	}{{"never", 0}, {"2 per 50", 50}, {"2 per 13", 13}, {"2 per 3", 3}} {
+		fmt.Fprintf(&b, "| %s |", r.label)
+		for _, policy := range []minim3.Policy{minim3.PolicyCutting, minim3.PolicyUnwinding, minim3.PolicyNativeUnwind} {
+			fmt.Fprintf(&b, " %d |", minim3Cycles(t, gameM3, policy, false, "playGame", 100, r.period))
+		}
+		b.WriteString("\n")
+	}
+	return b.String()
+}
+
+// inferenceTable renders BenchmarkAnnotationInference_*: the mixed
+// driver(100) workload under native unwinding, with every call site
+// annotated and with annotations pruned by the may-raise inference.
+func inferenceTable(t *testing.T) string {
+	var b strings.Builder
+	b.WriteString("| call-site annotations | cycles/op |\n")
+	b.WriteString("|---|---|\n")
+	for _, r := range []struct {
+		label string
+		prune bool
+	}{{"all (`BenchmarkAnnotationInference_Off`)", false}, {"pruned (`BenchmarkAnnotationInference_On`)", true}} {
+		fmt.Fprintf(&b, "| %s | %d |\n", r.label, minim3Cycles(t, pruneM3, minim3.PolicyNativeUnwind, r.prune, "driver", 100))
 	}
 	return b.String()
 }

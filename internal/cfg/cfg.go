@@ -21,7 +21,6 @@ package cfg
 import (
 	"fmt"
 
-	"cmm/internal/check"
 	"cmm/internal/syntax"
 )
 
@@ -128,7 +127,7 @@ type Node struct {
 	// CopyIn: destination variables; ContName is nonempty when this node
 	// is the entry of a continuation (it is then listed in Entry.Conts
 	// and may be a bundle target).
-	Vars     []string
+	Vars     []*syntax.VarExpr
 	ContName string
 
 	// CopyOut: source expressions whose values fill the value-passing
@@ -137,10 +136,10 @@ type Node struct {
 
 	// CalleeSaves: the new set of variables held in callee-saves
 	// registers (introduced only by optimization, §5.2).
-	Saved []string
+	Saved []*syntax.VarExpr
 
 	// Assign: either LHSVar or LHSMem is set.
-	LHSVar string
+	LHSVar *syntax.VarExpr
 	LHSMem *syntax.MemExpr
 	RHS    syntax.Expr
 
@@ -168,11 +167,32 @@ type Node struct {
 	Succ []*Node
 }
 
+// Names returns the names of the variables vs.
+func Names(vs []*syntax.VarExpr) []string {
+	out := make([]string, len(vs))
+	for i, v := range vs {
+		out[i] = v.Name
+	}
+	return out
+}
+
+// Binds reports whether n is a CopyIn that binds local slot s.
+func (n *Node) Binds(s int) bool {
+	for _, v := range n.Vars {
+		if v.Ref == syntax.RefLocal && v.Slot == s {
+			return true
+		}
+	}
+	return false
+}
+
 // Graph is the control-flow graph of one procedure.
 type Graph struct {
 	Name    string
-	Formals []Formal
-	Locals  map[string]syntax.Type // every local, including formals and temps
+	Formals []Var
+	// Locals is the slot table: every local, including formals and
+	// temporaries, in name order. A local's slot is its index here.
+	Locals  []Var
 	Entry   *Node
 	ContMap map[string]*Node // continuation name -> CopyIn node
 
@@ -180,8 +200,8 @@ type Graph struct {
 	nodes  []*Node // every node ever created (may include unreachable)
 }
 
-// Formal is a formal parameter of a graph.
-type Formal struct {
+// Var is a formal parameter or a local variable of a graph.
+type Var struct {
 	Name string
 	Type syntax.Type
 }
@@ -291,7 +311,6 @@ type Program struct {
 	YieldNode *Node
 
 	Source *syntax.Program
-	Info   *check.Info
 }
 
 // Graph returns the named graph, or nil.

@@ -58,20 +58,20 @@ func TestTable2NodesFigure5(t *testing.T) {
 		t.Fatalf("entry continuations: %+v", g.Entry.Conts)
 	}
 	k := g.Entry.Conts[0].Node
-	if k.Kind != KindCopyIn || k.ContName != "k" || len(k.Vars) != 1 || k.Vars[0] != "d" {
+	if k.Kind != KindCopyIn || k.ContName != "k" || len(k.Vars) != 1 || k.Vars[0].Name != "d" {
 		t.Fatalf("continuation node: %+v", k)
 	}
 	// Entry -> CopyIn [a] -> Assign b:=a -> Assign c:=a -> CopyOut [] -> Call g.
 	n := g.Entry.Succ[0]
-	if n.Kind != KindCopyIn || len(n.Vars) != 1 || n.Vars[0] != "a" {
+	if n.Kind != KindCopyIn || len(n.Vars) != 1 || n.Vars[0].Name != "a" {
 		t.Fatalf("formals CopyIn: %+v", n)
 	}
 	n = n.Succ[0]
-	if n.Kind != KindAssign || n.LHSVar != "b" {
+	if n.Kind != KindAssign || n.LHSVar.Name != "b" {
 		t.Fatalf("first assign: %+v", n)
 	}
 	n = n.Succ[0]
-	if n.Kind != KindAssign || n.LHSVar != "c" {
+	if n.Kind != KindAssign || n.LHSVar.Name != "c" {
 		t.Fatalf("second assign: %+v", n)
 	}
 	n = n.Succ[0]
@@ -91,7 +91,7 @@ func TestTable2NodesFigure5(t *testing.T) {
 		t.Fatalf("returns: %+v", bu.Returns)
 	}
 	normal := bu.NormalReturn()
-	if normal.Kind != KindCopyIn || len(normal.Vars) != 2 || normal.Vars[0] != "b" || normal.Vars[1] != "c" {
+	if normal.Kind != KindCopyIn || len(normal.Vars) != 2 || normal.Vars[0].Name != "b" || normal.Vars[1].Name != "c" {
 		t.Fatalf("normal return CopyIn: %+v", normal)
 	}
 	if len(bu.Unwinds) != 1 || bu.Unwinds[0] != k {
@@ -102,7 +102,7 @@ func TestTable2NodesFigure5(t *testing.T) {
 	}
 	// Normal path: Assign c := b+c+a -> CopyOut [c] -> Exit <0/0>.
 	n = normal.Succ[0]
-	if n.Kind != KindAssign || n.LHSVar != "c" {
+	if n.Kind != KindAssign || n.LHSVar.Name != "c" {
 		t.Fatalf("after call: %+v", n)
 	}
 	n = n.Succ[0]
@@ -220,7 +220,7 @@ g() { return (1); }
 		}
 	}
 	normal := call.Bundle.NormalReturn()
-	if len(normal.Vars) != 1 || !strings.HasPrefix(normal.Vars[0], ".t") {
+	if len(normal.Vars) != 1 || !strings.HasPrefix(normal.Vars[0].Name, ".t") {
 		t.Fatalf("normal return: %+v", normal)
 	}
 	if st := normal.Succ[0]; st.Kind != KindAssign || st.LHSMem == nil {
@@ -570,5 +570,63 @@ func TestFigure8And10Build(t *testing.T) {
 	}
 	if !foundCut {
 		t.Error("raise must cut to the handler with also aborts")
+	}
+}
+
+// TestSlotsFollowNameOrder: translate sorts every graph's locals by
+// name, temporaries included, and every reference to a local or a
+// continuation carries the index of its name in the slot table.
+func TestSlotsFollowNameOrder(t *testing.T) {
+	for _, src := range []string{paper.Figure1, paper.Fig2Cut, paper.Fig2RuntimeUnwind, `
+bits32 g;
+f(bits32 b, bits32 a) {
+    bits32 z, m;
+    a, b = b, a;
+    bits32[a], g, z = h(k) also unwinds to k;
+    m = b + z + g;
+    return (m);
+continuation k(m):
+    return (m);
+}
+h(bits32 c) { return (c, c, c); }
+`} {
+		p := build(t, src)
+		for _, name := range p.Order {
+			checkSlots(t, p.Graph(name))
+		}
+	}
+}
+
+func checkSlots(t *testing.T, g *Graph) {
+	t.Helper()
+	for i := 1; i < len(g.Locals); i++ {
+		if g.Locals[i-1].Name >= g.Locals[i].Name {
+			t.Errorf("%s: locals out of name order: %v", g.Name, g.Locals)
+		}
+	}
+	check := func(v *syntax.VarExpr) {
+		switch {
+		case v.Ref == syntax.RefLocal && g.Locals[v.Slot].Name != v.Name,
+			v.Ref == syntax.RefCont && g.Entry.Conts[v.Slot].Name != v.Name:
+			t.Errorf("%s: %s %s has slot %d", g.Name, v.Ref, v.Name, v.Slot)
+		case v.Ref == syntax.RefNone:
+			t.Errorf("%s: %s is unresolved", g.Name, v.Name)
+		}
+	}
+	for _, n := range g.AllNodes() {
+		for _, v := range n.Vars {
+			check(v)
+		}
+		if n.LHSVar != nil {
+			check(n.LHSVar)
+		}
+		WalkNodeExprs(n, func(e syntax.Expr) {
+			if v, ok := e.(*syntax.VarExpr); ok {
+				check(v)
+			}
+			if e.Type() == (syntax.Type{}) {
+				t.Errorf("%s: %s has no type", g.Name, syntax.ExprString(e))
+			}
+		})
 	}
 }

@@ -59,7 +59,7 @@ func describe(n *Node, ref func(*Node) string) string {
 	case KindExit:
 		return fmt.Sprintf("Exit <%d/%d>", n.RetIndex, n.RetArity)
 	case KindCopyIn:
-		s := fmt.Sprintf("CopyIn [%s]", strings.Join(n.Vars, " "))
+		s := fmt.Sprintf("CopyIn [%s]", strings.Join(Names(n.Vars), " "))
 		if n.ContName != "" {
 			s += fmt.Sprintf(" (continuation %s)", n.ContName)
 		}
@@ -71,12 +71,12 @@ func describe(n *Node, ref func(*Node) string) string {
 		}
 		return fmt.Sprintf("CopyOut [%s]", strings.Join(parts, " "))
 	case KindCalleeSaves:
-		return fmt.Sprintf("CalleeSaves {%s}", strings.Join(n.Saved, " "))
+		return fmt.Sprintf("CalleeSaves {%s}", strings.Join(Names(n.Saved), " "))
 	case KindAssign:
 		if n.LHSMem != nil {
 			return fmt.Sprintf("Assign %s := %s", syntax.ExprString(n.LHSMem), syntax.ExprString(n.RHS))
 		}
-		return fmt.Sprintf("Assign %s := %s", n.LHSVar, syntax.ExprString(n.RHS))
+		return fmt.Sprintf("Assign %s := %s", n.LHSVar.Name, syntax.ExprString(n.RHS))
 	case KindBranch:
 		return fmt.Sprintf("Branch %s ? %s : %s", syntax.ExprString(n.Cond), ref(n.Succ[0]), ref(n.Succ[1]))
 	case KindCall:

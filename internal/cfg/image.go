@@ -119,7 +119,7 @@ func BuildImage(p *Program, resolve func(name string) (uint64, bool)) (*Image, e
 					}
 					bits = a
 				} else {
-					b, err := evalConst(v, p.Info)
+					b, err := evalConst(v, imageFile(p))
 					if err != nil {
 						return nil, err
 					}

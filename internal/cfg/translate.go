@@ -21,14 +21,13 @@ func Build(src *syntax.Program, info *check.Info) (*Program, error) {
 		Imports: src.Imports,
 		Data:    src.Data,
 		Source:  src,
-		Info:    info,
 	}
 	p.YieldNode = &Node{ID: -1, Kind: KindYield}
 
 	for _, g := range src.Globals {
 		init := uint64(0)
 		if g.Init != nil {
-			v, err := evalConst(g.Init, info)
+			v, err := evalConst(g.Init, src.File)
 			if err != nil {
 				return nil, err
 			}
@@ -54,22 +53,23 @@ func Build(src *syntax.Program, info *check.Info) (*Program, error) {
 	return p, nil
 }
 
-// evalConst evaluates a constant expression to its raw bit pattern.
-func evalConst(e syntax.Expr, info *check.Info) (uint64, error) {
+// evalConst evaluates a constant expression to its raw bit pattern; file
+// names the source in diagnostics.
+func evalConst(e syntax.Expr, file string) (uint64, error) {
 	switch e := e.(type) {
 	case *syntax.IntLit:
 		return e.Val, nil
 	case *syntax.FloatLit:
-		if e.Type.Width == 32 {
+		if e.Ty.Width == 32 {
 			return uint64(math.Float32bits(float32(e.Val))), nil
 		}
 		return math.Float64bits(e.Val), nil
 	case *syntax.UnExpr:
-		x, err := evalConst(e.X, info)
+		x, err := evalConst(e.X, file)
 		if err != nil {
 			return 0, err
 		}
-		w := info.TypeOf(e).Width
+		w := e.Type().Width
 		switch e.Op {
 		case syntax.MINUS:
 			return truncate(-x, w), nil
@@ -82,25 +82,25 @@ func evalConst(e syntax.Expr, info *check.Info) (uint64, error) {
 			return 0, nil
 		}
 	case *syntax.BinExpr:
-		x, err := evalConst(e.X, info)
+		x, err := evalConst(e.X, file)
 		if err != nil {
 			return 0, err
 		}
-		y, err := evalConst(e.Y, info)
+		y, err := evalConst(e.Y, file)
 		if err != nil {
 			return 0, err
 		}
-		w := info.TypeOf(e.X).Width
+		w := e.X.Type().Width
 		if w == 0 {
 			w = 64
 		}
 		v, ok := EvalWordOp(e.Op, x, y, w)
 		if !ok {
-			return 0, syntax.ErrorAt(PassTranslate, info.Program.File, e.Position(), "constant expression divides by zero or uses an unsupported operator")
+			return 0, syntax.ErrorAt(PassTranslate, file, e.Position(), "constant expression divides by zero or uses an unsupported operator")
 		}
 		return v, nil
 	}
-	return 0, syntax.ErrorAt(PassTranslate, info.Program.File, e.Position(), "expression is not a constant")
+	return 0, syntax.ErrorAt(PassTranslate, file, e.Position(), "expression is not a constant")
 }
 
 func truncate(v uint64, width int) uint64 {
@@ -264,7 +264,6 @@ func sortedKeys[V any](m map[string]V) []string {
 func (b *builder) buildProc(proc *syntax.Proc) (*Graph, error) {
 	g := &Graph{
 		Name:    proc.Name,
-		Locals:  map[string]syntax.Type{},
 		ContMap: map[string]*Node{},
 	}
 	b.g = g
@@ -272,10 +271,10 @@ func (b *builder) buildProc(proc *syntax.Proc) (*Graph, error) {
 	b.labels = map[string]*Node{}
 	b.procPos = proc.Pos
 	for _, f := range proc.Formals {
-		g.Formals = append(g.Formals, Formal{Name: f.Name, Type: f.Type})
+		g.Formals = append(g.Formals, Var{Name: f.Name, Type: f.Type})
 	}
 	for name, sym := range b.pi.Locals {
-		g.Locals[name] = sym.Type
+		g.Locals = append(g.Locals, Var{Name: name, Type: sym.Type})
 	}
 
 	// Shells for continuations and labels, so forward and backward
@@ -284,7 +283,9 @@ func (b *builder) buildProc(proc *syntax.Proc) (*Graph, error) {
 	for _, name := range sortedKeys(b.pi.Conts) {
 		cs := b.pi.Conts[name]
 		n := g.NewNode(KindCopyIn, cs.Position())
-		n.Vars = append([]string{}, cs.Formals...)
+		for _, f := range cs.Formals {
+			n.Vars = append(n.Vars, local(f, b.pi.Locals[f].Type))
+		}
 		n.ContName = name
 		g.ContMap[name] = n
 	}
@@ -312,7 +313,7 @@ func (b *builder) buildProc(proc *syntax.Proc) (*Graph, error) {
 	entry.Conts = conts
 	formalsIn := g.NewNode(KindCopyIn, proc.Pos)
 	for _, f := range g.Formals {
-		formalsIn.Vars = append(formalsIn.Vars, f.Name)
+		formalsIn.Vars = append(formalsIn.Vars, local(f.Name, f.Type))
 	}
 	entry.Succ = []*Node{formalsIn}
 	formalsIn.Succ = []*Node{first}
@@ -322,7 +323,52 @@ func (b *builder) buildProc(proc *syntax.Proc) (*Graph, error) {
 	if err := b.checkNoFallthroughIntoContinuation(); err != nil {
 		return nil, err
 	}
+	b.number()
 	return g, nil
+}
+
+// number sorts g's locals by name, which makes a local's slot its rank
+// in name order, and writes every local's and continuation's slot onto
+// the references to it.
+func (b *builder) number() {
+	g := b.g
+	sort.Slice(g.Locals, func(i, j int) bool { return g.Locals[i].Name < g.Locals[j].Name })
+	slots := make(map[string]int, len(g.Locals))
+	for i, l := range g.Locals {
+		slots[l.Name] = i
+	}
+	set := func(e syntax.Expr) {
+		if v, ok := e.(*syntax.VarExpr); ok && v.Ref == syntax.RefLocal {
+			v.Slot = slots[v.Name]
+		}
+	}
+	for _, n := range g.nodes {
+		for _, v := range n.Vars {
+			set(v)
+		}
+		if n.LHSVar != nil {
+			set(n.LHSVar)
+		}
+		WalkNodeExprs(n, set)
+	}
+	g.NumberConts()
+}
+
+// NumberConts writes onto every reference to a continuation its index in
+// g.Entry.Conts, its slot. A pass that removes continuations calls it
+// again.
+func (g *Graph) NumberConts() {
+	slots := make(map[string]int, len(g.Entry.Conts))
+	for i, cb := range g.Entry.Conts {
+		slots[cb.Name] = i
+	}
+	for _, n := range g.nodes {
+		WalkNodeExprs(n, func(e syntax.Expr) {
+			if v, ok := e.(*syntax.VarExpr); ok && v.Ref == syntax.RefCont {
+				v.Slot = slots[v.Name]
+			}
+		})
+	}
 }
 
 // stmts translates a statement list backwards, so that each statement's
@@ -338,19 +384,18 @@ func (b *builder) stmts(list []syntax.Stmt, next *Node) (*Node, error) {
 	return next, nil
 }
 
+// temp declares a fresh temporary local of type t.
 func (b *builder) temp(t syntax.Type) string {
 	b.ntemp++
 	name := fmt.Sprintf(".t%d", b.ntemp)
-	b.g.Locals[name] = t
+	b.g.Locals = append(b.g.Locals, Var{Name: name, Type: t})
 	return name
 }
 
-func (b *builder) typeOf(e syntax.Expr) syntax.Type {
-	t := b.info.TypeOf(e)
-	if t == (syntax.Type{}) {
-		t = syntax.Word
-	}
-	return t
+// local returns a reference to the local name of type t; number gives it
+// its slot.
+func local(name string, t syntax.Type) *syntax.VarExpr {
+	return syntax.NewVar(name, syntax.RefLocal, 0, t)
 }
 
 func (b *builder) stmt(s syntax.Stmt, next *Node) (*Node, error) {
@@ -465,16 +510,17 @@ func (b *builder) assign(s *syntax.AssignStmt, next *Node) (*Node, error) {
 	// Build backwards: moves first (closest to next), then evaluations.
 	chainNext := next
 	for i := len(s.LHS) - 1; i >= 0; i-- {
-		temps[i] = b.temp(b.typeOf(s.RHS[i]))
+		t := s.RHS[i].Type()
+		temps[i] = b.temp(t)
 		mv := g.NewNode(KindAssign, s.Position())
 		b.setAssignTarget(mv, s.LHS[i])
-		mv.RHS = &syntax.VarExpr{Name: temps[i]}
+		mv.RHS = local(temps[i], t)
 		mv.Succ = []*Node{chainNext}
 		chainNext = mv
 	}
 	for i := len(s.RHS) - 1; i >= 0; i-- {
 		ev := g.NewNode(KindAssign, s.Position())
-		ev.LHSVar = temps[i]
+		ev.LHSVar = local(temps[i], s.RHS[i].Type())
 		ev.RHS = s.RHS[i]
 		ev.Succ = []*Node{chainNext}
 		chainNext = ev
@@ -485,7 +531,7 @@ func (b *builder) assign(s *syntax.AssignStmt, next *Node) (*Node, error) {
 func (b *builder) setAssignTarget(n *Node, l syntax.LValue) {
 	switch l := l.(type) {
 	case *syntax.VarExpr:
-		n.LHSVar = l.Name
+		n.LHSVar = l
 	case *syntax.MemExpr:
 		n.LHSMem = l
 	}
@@ -497,11 +543,11 @@ func (b *builder) call(s *syntax.CallStmt, next *Node) (*Node, error) {
 	if s.Solid != "" {
 		width := syntax.Word.Width
 		if len(s.Args) > 0 {
-			width = b.typeOf(s.Args[0]).Width
+			width = s.Args[0].Type().Width
 		}
 		name := SolidName(s.Solid, width)
 		b.solids[name] = true
-		call.Callee = &syntax.VarExpr{Name: name}
+		call.Callee = syntax.NewVar(name, syntax.RefProc, 0, syntax.Word)
 	} else {
 		call.Callee = s.Callee
 	}
@@ -514,13 +560,13 @@ func (b *builder) call(s *syntax.CallStmt, next *Node) (*Node, error) {
 	for _, r := range s.Results {
 		switch r := r.(type) {
 		case *syntax.VarExpr:
-			normal.Vars = append(normal.Vars, r.Name)
+			normal.Vars = append(normal.Vars, r)
 		case *syntax.MemExpr:
-			tmp := b.temp(r.Type)
-			normal.Vars = append(normal.Vars, tmp)
+			tmp := b.temp(r.Ty)
+			normal.Vars = append(normal.Vars, local(tmp, r.Ty))
 			st := g.NewNode(KindAssign, s.Position())
 			st.LHSMem = r
-			st.RHS = &syntax.VarExpr{Name: tmp}
+			st.RHS = local(tmp, r.Ty)
 			memStores = append(memStores, st)
 		}
 	}
@@ -643,17 +689,6 @@ func synthesizeSolids(p *Program, solids map[string]bool) error {
 	info, err := check.Check(src)
 	if err != nil {
 		return fmt.Errorf("internal error checking synthesized primitives: %w", err)
-	}
-	// Merge the synthesized checker results into the main Info so that
-	// downstream consumers can type any expression.
-	for k, v := range info.ExprTypes {
-		p.Info.ExprTypes[k] = v
-	}
-	for k, v := range info.Uses {
-		p.Info.Uses[k] = v
-	}
-	for k, v := range info.Procs {
-		p.Info.Procs[k] = v
 	}
 	for _, proc := range src.Procs {
 		b := &builder{prog: p, info: info, solids: map[string]bool{}}

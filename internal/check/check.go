@@ -9,52 +9,19 @@ package check
 
 import (
 	"sort"
-	"sync"
 
 	"cmm/internal/diag"
 	"cmm/internal/syntax"
 )
 
-// SymKind classifies a resolved name.
-type SymKind int
-
-// The kinds of C-- names.
-const (
-	SymLocal  SymKind = iota // local register variable (incl. formals)
-	SymGlobal                // global register variable
-	SymProc                  // procedure name (immutable code pointer)
-	SymData                  // data label (immutable data pointer)
-	SymCont                  // continuation (value of native pointer type)
-	SymImport                // imported name (treated as a code pointer)
-)
-
-func (k SymKind) String() string {
-	switch k {
-	case SymLocal:
-		return "local"
-	case SymGlobal:
-		return "global"
-	case SymProc:
-		return "procedure"
-	case SymData:
-		return "data label"
-	case SymCont:
-		return "continuation"
-	case SymImport:
-		return "import"
-	}
-	return "unknown"
-}
-
-// Symbol is a resolved name.
+// Symbol is a resolved name. Slot is a global's index in the program's
+// globals, in source order.
 type Symbol struct {
-	Kind SymKind
+	Kind syntax.Ref
 	Name string
 	Type syntax.Type
+	Slot int
 }
-
-// Assignable reports whether the symbol may appear on the left of "=".
-func (s *Symbol) Assignable() bool { return s.Kind == SymLocal || s.Kind == SymGlobal }
 
 // ProcInfo is the checker's result for one procedure.
 type ProcInfo struct {
@@ -64,40 +31,14 @@ type ProcInfo struct {
 	Labels map[string]*syntax.LabelStmt        // labels by name
 }
 
-// Info is the checker's result for a program. ExprTypes records the type
-// assigned to every expression; Uses maps every variable reference to its
-// resolved symbol.
+// Info is the checker's result for a program. The type of every
+// expression and the resolution of every variable reference are
+// recorded on the syntax nodes themselves (syntax.Expr.Type,
+// syntax.VarExpr.Ref).
 type Info struct {
-	Program   *syntax.Program
-	Globals   map[string]*Symbol
-	Procs     map[string]*ProcInfo
-	Uses      map[*syntax.VarExpr]*Symbol
-	ExprTypes map[syntax.Expr]syntax.Type
-
-	// typesMu guards ExprTypes when passes that rewrite expressions run
-	// per-procedure in parallel (each worker records types for the fresh
-	// expression nodes it creates). Serial construction in this package
-	// accesses the map directly.
-	typesMu sync.RWMutex
-}
-
-// TypeOf returns the checked type of e. Safe for concurrent use with
-// SetType.
-func (in *Info) TypeOf(e syntax.Expr) syntax.Type {
-	in.typesMu.RLock()
-	t := in.ExprTypes[e]
-	in.typesMu.RUnlock()
-	return t
-}
-
-// SetType records the type of e. Safe for concurrent use from parallel
-// per-procedure passes: every worker writes only the fresh expression
-// nodes it allocated, so the table's contents are deterministic
-// regardless of worker count.
-func (in *Info) SetType(e syntax.Expr, t syntax.Type) {
-	in.typesMu.Lock()
-	in.ExprTypes[e] = t
-	in.typesMu.Unlock()
+	Program *syntax.Program
+	Globals map[string]*Symbol
+	Procs   map[string]*ProcInfo
 }
 
 // ErrorList is a list of positioned semantic diagnostics (pass "check").
@@ -151,11 +92,9 @@ func (c *checker) errf(pos syntax.Pos, format string, args ...any) {
 // returned error, if non-nil, is an ErrorList.
 func Check(prog *syntax.Program) (*Info, error) {
 	c := &checker{info: &Info{
-		Program:   prog,
-		Globals:   map[string]*Symbol{},
-		Procs:     map[string]*ProcInfo{},
-		Uses:      map[*syntax.VarExpr]*Symbol{},
-		ExprTypes: map[syntax.Expr]syntax.Type{},
+		Program: prog,
+		Globals: map[string]*Symbol{},
+		Procs:   map[string]*ProcInfo{},
 	}}
 	c.collectGlobals()
 	for _, p := range prog.Procs {
@@ -180,20 +119,20 @@ func (c *checker) collectGlobals() {
 	// First declare every top-level name, so that initializers may refer
 	// to names defined later in the file (e.g. data holding procedure
 	// pointers).
-	for _, g := range prog.Globals {
-		c.declareGlobal(g.Pos, &Symbol{Kind: SymGlobal, Name: g.Name, Type: g.Type})
+	for i, g := range prog.Globals {
+		c.declareGlobal(g.Pos, &Symbol{Kind: syntax.RefGlobal, Name: g.Name, Type: g.Type, Slot: i})
 	}
 	for _, d := range prog.Data {
 		for _, it := range d.Items {
-			c.declareGlobal(it.Pos, &Symbol{Kind: SymData, Name: it.Label, Type: syntax.Word})
+			c.declareGlobal(it.Pos, &Symbol{Kind: syntax.RefData, Name: it.Label, Type: syntax.Word})
 		}
 	}
 	for _, p := range prog.Procs {
-		c.declareGlobal(p.Pos, &Symbol{Kind: SymProc, Name: p.Name, Type: syntax.Word})
+		c.declareGlobal(p.Pos, &Symbol{Kind: syntax.RefProc, Name: p.Name, Type: syntax.Word})
 	}
 	for _, im := range prog.Imports {
 		if _, ok := c.info.Globals[im]; !ok {
-			c.info.Globals[im] = &Symbol{Kind: SymImport, Name: im, Type: syntax.Word}
+			c.info.Globals[im] = &Symbol{Kind: syntax.RefImport, Name: im, Type: syntax.Word}
 		}
 	}
 	for _, ex := range prog.Exports {
@@ -261,7 +200,7 @@ func (c *checker) checkProc(p *syntax.Proc) {
 			c.errf(f.Pos, "duplicate parameter %s", f.Name)
 			continue
 		}
-		pi.Locals[f.Name] = &Symbol{Kind: SymLocal, Name: f.Name, Type: f.Type}
+		pi.Locals[f.Name] = &Symbol{Kind: syntax.RefLocal, Name: f.Name, Type: f.Type}
 	}
 	// First pass: collect declarations, labels, continuations (they are
 	// visible throughout the procedure, including before their textual
@@ -282,7 +221,7 @@ func (c *checker) collectBody(body []syntax.Stmt) {
 					c.errf(s.Position(), "variable %s redeclared", n)
 					continue
 				}
-				pi.Locals[n] = &Symbol{Kind: SymLocal, Name: n, Type: s.Type}
+				pi.Locals[n] = &Symbol{Kind: syntax.RefLocal, Name: n, Type: s.Type}
 			}
 		case *syntax.LabelStmt:
 			if _, dup := pi.Labels[s.Name]; dup {
@@ -295,6 +234,7 @@ func (c *checker) collectBody(body []syntax.Stmt) {
 				c.errf(s.Position(), "continuation %s redeclared", s.Name)
 				continue
 			}
+
 			pi.Conts[s.Name] = s
 		case *syntax.IfStmt:
 			c.collectBody(s.Then)
@@ -314,6 +254,9 @@ func (c *checker) checkStmt(s syntax.Stmt) {
 	case *syntax.VarDecl, *syntax.LabelStmt:
 		// Handled in collectBody.
 	case *syntax.ContinuationStmt:
+		if _, isVar := c.proc.Locals[s.Name]; isVar {
+			c.errf(s.Position(), "continuation %s has the name of a variable", s.Name)
+		}
 		// Continuation formals must be variables of the enclosing
 		// procedure; they are not binding instances (§4.1).
 		for _, f := range s.Formals {
@@ -326,7 +269,7 @@ func (c *checker) checkStmt(s syntax.Stmt) {
 			lt := c.checkLValue(l)
 			if i < len(s.RHS) {
 				c.checkExpr(s.RHS[i], lt)
-				rt := c.info.ExprTypes[s.RHS[i]]
+				rt := s.RHS[i].Type()
 				if lt != (syntax.Type{}) && rt != (syntax.Type{}) && lt != rt {
 					c.errf(s.Position(), "cannot assign %s value to %s location", rt, lt)
 				}
@@ -352,7 +295,7 @@ func (c *checker) checkStmt(s syntax.Stmt) {
 		c.checkAnnots(s.Position(), s.Annots)
 	case *syntax.IfStmt:
 		c.checkExpr(s.Cond, syntax.Word)
-		if t := c.info.ExprTypes[s.Cond]; t.Kind == syntax.FloatType {
+		if t := s.Cond.Type(); t.Kind == syntax.FloatType {
 			c.errf(s.Position(), "if condition must be a word value, not %s", t)
 		}
 		c.checkStmts(s.Then)
@@ -424,44 +367,40 @@ func (c *checker) checkAnnots(pos syntax.Pos, a syntax.Annotations) {
 func (c *checker) checkLValue(l syntax.LValue) syntax.Type {
 	switch l := l.(type) {
 	case *syntax.VarExpr:
-		sym := c.resolve(l)
-		if sym == nil {
+		if !c.resolve(l) {
 			return syntax.Type{}
 		}
-		if !sym.Assignable() {
-			c.errf(l.Position(), "%s %s is not assignable", sym.Kind, sym.Name)
+		if l.Ref != syntax.RefLocal && l.Ref != syntax.RefGlobal {
+			c.errf(l.Position(), "%s %s is not assignable", l.Ref, l.Name)
 			return syntax.Type{}
 		}
-		c.info.ExprTypes[l] = sym.Type
-		return sym.Type
+		return l.Ty
 	case *syntax.MemExpr:
 		c.checkExpr(l.Addr, syntax.Word)
-		c.info.ExprTypes[l] = l.Type
-		return l.Type
+		return l.Ty
 	}
 	return syntax.Type{}
 }
 
-// resolve looks up a variable reference: procedure locals and continuations
-// shadow globals.
-func (c *checker) resolve(v *syntax.VarExpr) *Symbol {
+// resolve records on v what it names, and its type: procedure locals and
+// continuations shadow globals. It reports false for an undefined name.
+func (c *checker) resolve(v *syntax.VarExpr) bool {
 	if c.proc != nil {
 		if sym, ok := c.proc.Locals[v.Name]; ok {
-			c.info.Uses[v] = sym
-			return sym
+			v.Ref, v.Ty = syntax.RefLocal, sym.Type
+			return true
 		}
 		if _, ok := c.proc.Conts[v.Name]; ok {
-			sym := &Symbol{Kind: SymCont, Name: v.Name, Type: syntax.Word}
-			c.info.Uses[v] = sym
-			return sym
+			v.Ref, v.Ty = syntax.RefCont, syntax.Word
+			return true
 		}
 	}
 	if sym, ok := c.info.Globals[v.Name]; ok {
-		c.info.Uses[v] = sym
-		return sym
+		v.Ref, v.Ty, v.Slot = sym.Kind, sym.Type, sym.Slot
+		return true
 	}
 	c.errf(v.Position(), "undefined name %s", v.Name)
-	return nil
+	return false
 }
 
 // checkExpr types e; expected is the context type (zero when unknown) and
@@ -473,8 +412,7 @@ func (c *checker) checkExpr(e syntax.Expr, expected syntax.Type) {
 		if t == (syntax.Type{}) || t.Kind != syntax.BitsType {
 			t = syntax.Word
 		}
-		e.Type = t
-		c.info.ExprTypes[e] = t
+		e.Ty = t
 		if t.Width < 64 && e.Val >= 1<<uint(t.Width) {
 			c.errf(e.Position(), "literal %d does not fit in %s", e.Val, t)
 		}
@@ -483,30 +421,26 @@ func (c *checker) checkExpr(e syntax.Expr, expected syntax.Type) {
 		if t == (syntax.Type{}) || t.Kind != syntax.FloatType {
 			t = syntax.Type{Kind: syntax.FloatType, Width: 64}
 		}
-		e.Type = t
-		c.info.ExprTypes[e] = t
+		e.Ty = t
 	case *syntax.StrLit:
-		c.info.ExprTypes[e] = syntax.Word
+		e.Ty = syntax.Word
 	case *syntax.VarExpr:
-		if sym := c.resolve(e); sym != nil {
-			c.info.ExprTypes[e] = sym.Type
-		}
+		c.resolve(e)
 	case *syntax.MemExpr:
 		c.checkExpr(e.Addr, syntax.Word)
-		if at := c.info.ExprTypes[e.Addr]; at.Kind == syntax.FloatType {
+		if at := e.Addr.Type(); at.Kind == syntax.FloatType {
 			c.errf(e.Position(), "memory address must be a word value, not %s", at)
 		}
-		c.info.ExprTypes[e] = e.Type
 	case *syntax.UnExpr:
 		c.checkExpr(e.X, expected)
-		xt := c.info.ExprTypes[e.X]
+		xt := e.X.Type()
 		switch e.Op {
 		case syntax.TILDE, syntax.NOT:
 			if xt.Kind == syntax.FloatType {
 				c.errf(e.Position(), "operator %s requires a word operand, got %s", e.Op, xt)
 			}
 		}
-		c.info.ExprTypes[e] = xt
+		e.Ty = xt
 	case *syntax.BinExpr:
 		c.checkBin(e, expected)
 	case *syntax.PrimExpr:
@@ -520,13 +454,13 @@ func (c *checker) checkExpr(e syntax.Expr, expected syntax.Type) {
 		for i, a := range e.Args {
 			c.checkExpr(a, expected)
 			if i == 0 {
-				t = c.info.ExprTypes[a]
+				t = a.Type()
 			}
 		}
 		if t == (syntax.Type{}) {
 			t = syntax.Word
 		}
-		c.info.ExprTypes[e] = t
+		e.Ty = t
 	default:
 		c.errf(e.Position(), "unhandled expression %T", e)
 	}
@@ -548,19 +482,18 @@ func (c *checker) checkBin(e *syntax.BinExpr, expected syntax.Type) {
 	c.checkExpr(e.X, operandCtx)
 	// Give the right operand the left's type as context so that
 	// "n == 1" types the literal as n's type.
-	xt := c.info.ExprTypes[e.X]
+	xt := e.X.Type()
 	yCtx := operandCtx
 	if xt != (syntax.Type{}) {
 		yCtx = xt
 	}
 	c.checkExpr(e.Y, yCtx)
-	yt := c.info.ExprTypes[e.Y]
+	yt := e.Y.Type()
 
 	// If the left operand was an un-contexted literal, retype it from the
 	// right operand (e.g. "1 == n").
 	if lx, ok := e.X.(*syntax.IntLit); ok && yt != (syntax.Type{}) && xt != yt && yt.Kind == syntax.BitsType {
-		lx.Type = yt
-		c.info.ExprTypes[lx] = yt
+		lx.Ty = yt
 		xt = yt
 	}
 
@@ -569,22 +502,22 @@ func (c *checker) checkBin(e *syntax.BinExpr, expected syntax.Type) {
 	}
 	switch {
 	case isComparison(e.Op):
-		c.info.ExprTypes[e] = syntax.Word
+		e.Ty = syntax.Word
 	case e.Op == syntax.ANDAND || e.Op == syntax.OROR:
 		if xt.Kind == syntax.FloatType || yt.Kind == syntax.FloatType {
 			c.errf(e.Position(), "operator %s requires word operands", e.Op)
 		}
-		c.info.ExprTypes[e] = syntax.Word
+		e.Ty = syntax.Word
 	case e.Op == syntax.SHL || e.Op == syntax.SHR:
 		if xt.Kind == syntax.FloatType {
 			c.errf(e.Position(), "operator %s requires a word left operand", e.Op)
 		}
-		c.info.ExprTypes[e] = xt
+		e.Ty = xt
 	default:
 		if (e.Op == syntax.AMP || e.Op == syntax.PIPE || e.Op == syntax.CARET || e.Op == syntax.PERCENT) &&
 			(xt.Kind == syntax.FloatType || yt.Kind == syntax.FloatType) {
 			c.errf(e.Position(), "operator %s requires word operands", e.Op)
 		}
-		c.info.ExprTypes[e] = xt
+		e.Ty = xt
 	}
 }

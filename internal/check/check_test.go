@@ -70,21 +70,47 @@ h(bits32 a, bits32 b) { return (a); }
 	if pi == nil {
 		t.Fatal("no proc info for f")
 	}
-	if pi.Locals["x"].Kind != SymLocal || pi.Locals["y"].Kind != SymLocal {
+	if pi.Locals["x"].Kind != syntax.RefLocal || pi.Locals["y"].Kind != syntax.RefLocal {
 		t.Error("locals not resolved")
 	}
-	if info.Globals["g"].Kind != SymGlobal {
+	if info.Globals["g"].Kind != syntax.RefGlobal {
 		t.Error("global g not resolved")
 	}
-	if info.Globals["msg"].Kind != SymData {
+	if info.Globals["msg"].Kind != syntax.RefData {
 		t.Error("data label msg not resolved")
 	}
-	if info.Globals["h"].Kind != SymProc {
+	if info.Globals["h"].Kind != syntax.RefProc {
 		t.Error("proc h not resolved")
 	}
 	if _, ok := pi.Conts["k"]; !ok {
 		t.Error("continuation k not collected")
 	}
+	// Every reference carries its resolution and type.
+	asg := pi.Proc.Body[1].(*syntax.AssignStmt)
+	sum := asg.RHS[0].(*syntax.BinExpr)
+	call := pi.Proc.Body[2].(*syntax.CallStmt)
+	for _, c := range []struct {
+		e    syntax.Expr
+		ref  syntax.Ref
+		slot int
+	}{
+		{asg.LHS[0].(*syntax.VarExpr), syntax.RefLocal, 0},
+		{sum.X, syntax.RefLocal, 0},
+		{sum.Y, syntax.RefGlobal, 0},
+		{call.Callee, syntax.RefProc, 0},
+		{call.Args[0], syntax.RefData, 0},
+		{call.Args[1], syntax.RefCont, 0},
+	} {
+		v := c.e.(*syntax.VarExpr)
+		if v.Ref != c.ref || c.ref == syntax.RefGlobal && v.Slot != c.slot || v.Type() != syntax.Word {
+			t.Errorf("%s resolved as %s slot %d type %s, want %s", v.Name, v.Ref, v.Slot, v.Type(), c.ref)
+		}
+	}
+}
+
+func TestContinuationNamedLikeVariable(t *testing.T) {
+	checkFails(t, `f() { bits32 k; return ();
+continuation k: return (); }`, "continuation k has the name of a variable")
 }
 
 func TestUndefinedName(t *testing.T) {
@@ -174,8 +200,8 @@ func TestLiteralTypedFromContext(t *testing.T) {
 	// Find the literal in the comparison and check its type.
 	cond := info.Program.Procs[0].Body[0].(*syntax.IfStmt).Cond.(*syntax.BinExpr)
 	lit := cond.Y.(*syntax.IntLit)
-	if lit.Type.Width != 64 {
-		t.Errorf("literal typed %s, want bits64", lit.Type)
+	if lit.Ty.Width != 64 {
+		t.Errorf("literal typed %s, want bits64", lit.Ty)
 	}
 }
 
@@ -183,8 +209,8 @@ func TestLiteralTypedFromRightOperand(t *testing.T) {
 	info := checkOK(t, `f(bits64 n) { if 1 == n { return (1); } return (0); }`)
 	cond := info.Program.Procs[0].Body[0].(*syntax.IfStmt).Cond.(*syntax.BinExpr)
 	lit := cond.X.(*syntax.IntLit)
-	if lit.Type.Width != 64 {
-		t.Errorf("literal typed %s, want bits64", lit.Type)
+	if lit.Ty.Width != 64 {
+		t.Errorf("literal typed %s, want bits64", lit.Ty)
 	}
 	_ = info
 }
@@ -192,7 +218,7 @@ func TestLiteralTypedFromRightOperand(t *testing.T) {
 func TestComparisonHasWordType(t *testing.T) {
 	info := checkOK(t, `f(bits64 a, bits64 b) { bits32 r; r = a == b; return (r); }`)
 	asg := info.Program.Procs[0].Body[1].(*syntax.AssignStmt)
-	if got := info.TypeOf(asg.RHS[0]); got != syntax.Word {
+	if got := asg.RHS[0].Type(); got != syntax.Word {
 		t.Errorf("comparison type %s, want %s", got, syntax.Word)
 	}
 }

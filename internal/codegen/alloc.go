@@ -23,46 +23,37 @@ import (
 //   - Everything else gets a caller-saves temporary, falling back to the
 //     frame.
 //
-// It returns the home map (frame homes not yet assigned offsets), the
-// frame-resident variables in layout order, and the number of
-// callee-saves registers handed out (always the dense prefix s0..s(n-1),
-// which is what makes the precise-save accounting in ipo.go a prefix
-// computation).
-func classifyHomes(g *cfg.Graph, lv *dataflow.Liveness, disableCS bool) (map[string]home, []string, int) {
-	liveIntoCut := map[string]bool{}
-	liveAcross := map[string]bool{}
+// It returns the homes by local slot (frame homes not yet assigned
+// offsets), the slots of the frame-resident variables in layout order,
+// and the number of callee-saves registers handed out (always the dense
+// prefix s0..s(n-1), which is what makes the precise-save accounting in
+// ipo.go a prefix computation). Variables are visited in slot order.
+func classifyHomes(g *cfg.Graph, lv *dataflow.Liveness, disableCS bool) ([]home, []int, int) {
+	liveIntoCut := make([]bool, len(g.Locals))
+	liveAcross := make([]bool, len(g.Locals))
 	for _, n := range g.Nodes() {
 		if n.Bundle == nil {
 			continue
 		}
 		if n.Kind == cfg.KindCall {
-			for _, v := range lv.LiveAcross(n) {
-				liveAcross[v] = true
+			for _, s := range lv.LiveAcross(n) {
+				liveAcross[s] = true
 			}
 		}
 		for _, t := range n.Bundle.Cuts {
-			for _, v := range lv.In(t) {
-				param := false
-				for _, pv := range t.Vars {
-					if pv == v {
-						param = true
-					}
-				}
-				if !param {
-					liveIntoCut[v] = true
+			for s := range g.Locals {
+				if lv.LiveIn(t, s) && !t.Binds(s) {
+					liveIntoCut[s] = true
 				}
 			}
 		}
 	}
 
-	// Deterministic order.
-	vars := dataflow.SortedLocals(g)
-
-	homes := map[string]home{}
-	var frameVars []string
+	homes := make([]home, len(g.Locals))
+	var frameVars []int
 	nextS := 0
 	nextT := 4 // t0..t3 are expression scratch; homes start at t4
-	for _, v := range vars {
+	for v := range g.Locals {
 		switch {
 		case liveIntoCut[v]:
 			frameVars = append(frameVars, v)
@@ -104,9 +95,7 @@ func (gen *generator) allocate() error {
 	g := f.g
 
 	homes, frameVars, nextS := classifyHomes(g, f.liveness, gen.opts.DisableCalleeSaves)
-	for v, h := range homes {
-		f.homes[v] = h
-	}
+	f.homes = homes
 
 	off := int64(0)
 	for _, v := range frameVars {

@@ -24,7 +24,6 @@ import (
 	"cmm/internal/cfg"
 	"cmm/internal/dataflow"
 	"cmm/internal/machine"
-	"cmm/internal/syntax"
 )
 
 // Options selects code-generation strategies.
@@ -388,7 +387,7 @@ type home struct {
 type funcState struct {
 	g        *cfg.Graph
 	pi       *ProcInfo
-	homes    map[string]home
+	homes    []home // by local slot
 	placed   map[*cfg.Node]int
 	pending  []*cfg.Node
 	fixups   []fixup
@@ -417,14 +416,6 @@ func (gen *generator) errf(n *cfg.Node, format string, args ...any) error {
 	return fmt.Errorf("codegen %s%s: %s", gen.f.pi.Name, where, fmt.Sprintf(format, args...))
 }
 
-func (gen *generator) typeOf(e syntax.Expr) syntax.Type {
-	t := gen.src.Info.TypeOf(e)
-	if t == (syntax.Type{}) {
-		return syntax.Word
-	}
-	return t
-}
-
 // compileProc allocates registers and emits relocatable code for one
 // procedure; every pc in the result is relative to the chunk start.
 func (gen *generator) compileProc(name string) (*ProcChunk, error) {
@@ -438,7 +429,6 @@ func (gen *generator) compileProc(name string) (*ProcChunk, error) {
 	gen.f = &funcState{
 		g:      g,
 		pi:     pi,
-		homes:  map[string]home{},
 		placed: map[*cfg.Node]int{},
 	}
 	if gen.lay != nil && gen.lay.facts != nil {

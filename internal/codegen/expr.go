@@ -3,7 +3,6 @@ package codegen
 import (
 	"math"
 
-	"cmm/internal/cfg"
 	"cmm/internal/check"
 	"cmm/internal/machine"
 	"cmm/internal/syntax"
@@ -37,18 +36,18 @@ func (gen *generator) eval(e syntax.Expr, dest machine.Reg, depth int) error {
 		gen.emit(machine.Instr{Op: machine.OpLI, Rd: dest, Imm: int64(addr), Sym: "str"})
 		return nil
 	case *syntax.VarExpr:
-		return gen.evalName(e.Name, dest)
+		return gen.evalName(e, dest)
 	case *syntax.MemExpr:
 		if err := gen.eval(e.Addr, dest, depth); err != nil {
 			return err
 		}
-		gen.emit(machine.Instr{Op: machine.OpLoad, Rd: dest, Rs: dest, Size: e.Type.Bytes()})
+		gen.emit(machine.Instr{Op: machine.OpLoad, Rd: dest, Rs: dest, Size: e.Ty.Bytes()})
 		return nil
 	case *syntax.UnExpr:
 		if err := gen.eval(e.X, dest, depth); err != nil {
 			return err
 		}
-		t := gen.typeOf(e)
+		t := e.Ty
 		if t.Kind == syntax.FloatType {
 			if e.Op != syntax.MINUS {
 				return gen.errf(nil, "float operator %s unsupported", e.Op)
@@ -85,33 +84,33 @@ func width(t syntax.Type) int {
 	return t.Width
 }
 
-// evalName loads the value of a name: local variable (register or frame
-// home), continuation (address of its frame block), global (memory),
-// data label, string, or procedure (code address).
-func (gen *generator) evalName(name string, dest machine.Reg) error {
-	f := gen.f
-	if h, ok := f.homes[name]; ok {
-		if h.inReg {
+// evalName loads the value v names, as the checker resolved it: local
+// variable (register or frame home), continuation (address of its frame
+// block), global (memory), procedure (code address), import or data
+// label.
+func (gen *generator) evalName(v *syntax.VarExpr, dest machine.Reg) error {
+	name := v.Name
+	switch v.Ref {
+	case syntax.RefLocal:
+		if h := gen.f.homes[v.Slot]; h.inReg {
 			gen.emit(machine.Instr{Op: machine.OpMov, Rd: dest, Rs: h.reg})
 		} else {
 			gen.emit(machine.Instr{Op: machine.OpLoad, Rd: dest, Rs: machine.RSP, Imm: h.off, Size: wordSlot, Sym: name})
 		}
 		return nil
-	}
-	if off, ok := f.pi.ContBlocks[name]; ok {
+	case syntax.RefCont:
 		// A continuation value is the address of its (pc, sp) pair in
 		// the current frame (§5.4).
+		off := gen.f.pi.ContBlocks[name]
 		gen.emit(machine.Instr{Op: machine.OpALUI, Sub: machine.AAdd, Rd: dest, Rs: machine.RSP, Imm: off, Width: 64, Sym: "cont " + name})
 		return nil
-	}
-	if _, isGlobal := globalType(gen.src, name); isGlobal {
+	case syntax.RefGlobal:
 		// Globals live at fixed addresses assigned after codegen; emit a
 		// load through a fixed-up absolute address.
 		at := gen.emit(machine.Instr{Op: machine.OpLoad, Rd: dest, Rs: machine.RZero, Size: wordSlot, Sym: "global " + name})
 		gen.fixupsGlobal = append(gen.fixupsGlobal, fixup{at: at, kind: fixGlobalLoad, name: name})
 		return nil
-	}
-	if _, ok := gen.src.Graphs[name]; ok {
+	case syntax.RefProc:
 		at := gen.emit(machine.Instr{Op: machine.OpLI, Rd: dest, Sym: "proc " + name})
 		gen.f.fixups = append(gen.f.fixups, fixup{at: at, kind: fixLIProc, name: name})
 		return nil
@@ -127,17 +126,8 @@ func (gen *generator) evalName(name string, dest machine.Reg) error {
 	return gen.errf(nil, "cannot compile reference to %s", name)
 }
 
-func globalType(src *cfg.Program, name string) (syntax.Type, bool) {
-	for _, g := range src.Globals {
-		if g.Name == name {
-			return g.Type, true
-		}
-	}
-	return syntax.Type{}, false
-}
-
 func (gen *generator) evalBin(e *syntax.BinExpr, dest machine.Reg, depth int) error {
-	xt := gen.typeOf(e.X)
+	xt := e.X.Type()
 	if xt.Kind == syntax.FloatType {
 		return gen.evalFloatBin(e, dest, depth)
 	}
@@ -274,7 +264,7 @@ func (gen *generator) evalPrim(e *syntax.PrimExpr, dest machine.Reg, depth int) 
 	}
 	w := syntax.Word.Width
 	if len(e.Args) > 0 {
-		w = width(gen.typeOf(e.Args[0]))
+		w = width(e.Args[0].Type())
 	}
 	if err := gen.eval(e.Args[0], dest, depth); err != nil {
 		return err

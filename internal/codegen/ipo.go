@@ -107,7 +107,7 @@ func computeFacts(src *cfg.Program, opts Options) *optFacts {
 			if n.Kind != cfg.KindCall || n.IsYield {
 				continue
 			}
-			callee, kind := dataflow.ResolveCallee(src, g, n.Callee)
+			callee, kind := dataflow.ResolveCallee(n.Callee)
 			var clobber int
 			switch kind {
 			case dataflow.CalleeImport:
@@ -181,10 +181,8 @@ func computeTableProcs(src *cfg.Program, facts *optFacts) {
 				if !ok || v == calleeVar {
 					return
 				}
-				if _, isProc := src.Graphs[v.Name]; isProc {
-					if _, shadowed := g.Locals[v.Name]; !shadowed {
-						table[v.Name] = false
-					}
+				if v.Ref == syntax.RefProc {
+					table[v.Name] = false
 				}
 			})
 			switch n.Kind {
@@ -192,7 +190,7 @@ func computeTableProcs(src *cfg.Program, facts *optFacts) {
 				if n.IsYield {
 					continue
 				}
-				callee, kind := dataflow.ResolveCallee(src, g, n.Callee)
+				callee, kind := dataflow.ResolveCallee(n.Callee)
 				if kind != dataflow.CalleeProc {
 					continue
 				}
@@ -203,7 +201,7 @@ func computeTableProcs(src *cfg.Program, facts *optFacts) {
 				sited[callee] = true
 				numAlt[callee] = alt
 			case cfg.KindJump:
-				callee, kind := dataflow.ResolveCallee(src, g, n.Callee)
+				callee, kind := dataflow.ResolveCallee(n.Callee)
 				if kind == dataflow.CalleeProc {
 					jumpEdges[name] = append(jumpEdges[name], callee)
 				}

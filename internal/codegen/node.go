@@ -106,7 +106,7 @@ func (gen *generator) emitNode(n *cfg.Node) (*cfg.Node, error) {
 			if err := gen.eval(n.LHSMem.Addr, machine.RX0+1, 2); err != nil {
 				return nil, err
 			}
-			gen.emit(machine.Instr{Op: machine.OpStore, Rs: machine.RX0 + 1, Rt: machine.RX0, Size: n.LHSMem.Type.Bytes()})
+			gen.emit(machine.Instr{Op: machine.OpStore, Rs: machine.RX0 + 1, Rt: machine.RX0, Size: n.LHSMem.Ty.Bytes()})
 			return n.Succ[0], nil
 		}
 		// Evaluate into scratch first so that "x = f(x)"-shaped reads of
@@ -200,22 +200,21 @@ func (gen *generator) emitNode(n *cfg.Node) (*cfg.Node, error) {
 }
 
 // storeToHome moves src into v's home.
-func (gen *generator) storeToHome(v string, src machine.Reg) error {
-	f := gen.f
-	if h, ok := f.homes[v]; ok {
-		if h.inReg {
+func (gen *generator) storeToHome(v *syntax.VarExpr, src machine.Reg) error {
+	switch v.Ref {
+	case syntax.RefLocal:
+		if h := gen.f.homes[v.Slot]; h.inReg {
 			gen.emit(machine.Instr{Op: machine.OpMov, Rd: h.reg, Rs: src})
 		} else {
-			gen.emit(machine.Instr{Op: machine.OpStore, Rs: machine.RSP, Rt: src, Imm: h.off, Size: wordSlot, Sym: v})
+			gen.emit(machine.Instr{Op: machine.OpStore, Rs: machine.RSP, Rt: src, Imm: h.off, Size: wordSlot, Sym: v.Name})
 		}
 		return nil
-	}
-	if _, isGlobal := globalType(gen.src, v); isGlobal {
-		at := gen.emit(machine.Instr{Op: machine.OpStore, Rs: machine.RZero, Rt: src, Size: wordSlot, Sym: "global " + v})
-		gen.fixupsGlobal = append(gen.fixupsGlobal, fixup{at: at, kind: fixGlobalStore, name: v})
+	case syntax.RefGlobal:
+		at := gen.emit(machine.Instr{Op: machine.OpStore, Rs: machine.RZero, Rt: src, Size: wordSlot, Sym: "global " + v.Name})
+		gen.fixupsGlobal = append(gen.fixupsGlobal, fixup{at: at, kind: fixGlobalStore, name: v.Name})
 		return nil
 	}
-	return gen.errf(nil, "assignment to unknown variable %s", v)
+	return gen.errf(nil, "assignment to unknown variable %s", v.Name)
 }
 
 // prologue allocates the frame, saves ra and the used callee-saves
@@ -278,8 +277,8 @@ func (gen *generator) emitCall(n *cfg.Node) (*cfg.Node, error) {
 
 	if n.IsYield {
 		gen.emit(machine.Instr{Op: machine.OpYield})
-	} else if v, ok := n.Callee.(*syntax.VarExpr); ok && gen.isProcName(v.Name) {
-		if _, defined := gen.src.Graphs[v.Name]; defined {
+	} else if v, ok := n.Callee.(*syntax.VarExpr); ok && (v.Ref == syntax.RefProc || v.Ref == syntax.RefImport) {
+		if v.Ref == syntax.RefProc {
 			at := gen.emit(machine.Instr{Op: machine.OpCall, Sym: v.Name})
 			gen.fixupsGlobal = append(gen.fixupsGlobal, fixup{at: at, kind: fixProc, name: v.Name})
 		} else if i, isForeign := gen.fidx[v.Name]; isForeign {
@@ -351,27 +350,12 @@ func (gen *generator) calleeTableForm(n *cfg.Node) bool {
 	if n.IsYield || gen.lay == nil || gen.lay.facts == nil {
 		return false
 	}
-	callee, kind := dataflow.ResolveCallee(gen.src, gen.f.g, n.Callee)
+	callee, kind := dataflow.ResolveCallee(n.Callee)
 	if kind != dataflow.CalleeProc {
 		return false
 	}
 	pf := gen.lay.facts.procs[callee]
 	return pf != nil && pf.table
-}
-
-func (gen *generator) isProcName(name string) bool {
-	if _, ok := gen.src.Graphs[name]; ok {
-		// Only when not shadowed by a local.
-		if _, shadowed := gen.f.homes[name]; !shadowed {
-			return true
-		}
-	}
-	if _, ok := gen.fidx[name]; ok {
-		if _, shadowed := gen.f.homes[name]; !shadowed {
-			return true
-		}
-	}
-	return false
 }
 
 // staticValue resolves a descriptor expression to a word.

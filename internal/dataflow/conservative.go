@@ -106,7 +106,7 @@ func ConsSummarize(prog *cfg.Program) *ConsSummaries {
 		for _, n := range g.Nodes() {
 			switch n.Kind {
 			case cfg.KindCutTo:
-				if _, kind := ResolveCallee(prog, g, n.Callee); kind != CalleeCont {
+				if _, kind := ResolveCallee(n.Callee); kind != CalleeCont {
 					sum.MayCut = true
 				}
 			case cfg.KindCall, cfg.KindJump:
@@ -114,7 +114,7 @@ func ConsSummarize(prog *cfg.Program) *ConsSummaries {
 					sum.MayYield = true
 					continue
 				}
-				callee, kind := ResolveCallee(prog, g, n.Callee)
+				callee, kind := ResolveCallee(n.Callee)
 				switch kind {
 				case CalleeProc:
 					addEdge(callee)

@@ -152,7 +152,7 @@ g(bits32 kv) { return (); }
 }
 
 func TestTable3RulesCalleeSavesNoEffect(t *testing.T) {
-	n := &cfg.Node{Kind: cfg.KindCalleeSaves, Saved: []string{"x"}}
+	n := &cfg.Node{Kind: cfg.KindCalleeSaves, Saved: []*syntax.VarExpr{{Name: "x"}}}
 	ef := NodeEffects(n, nil)
 	if len(ef.Uses) != 0 || len(ef.Defs) != 0 {
 		t.Errorf("CalleeSaves must not affect dataflow: %v %v", ef.Uses, ef.Defs)
@@ -177,14 +177,14 @@ func TestLivenessFigure5(t *testing.T) {
 	g := p.Graph("f")
 	lv := ComputeLiveness(g)
 	call := findKind(g, cfg.KindCall)
-	if !lv.LiveOut(call, "b") {
+	if !lv.LiveOut(call, slot(g, "b")) {
 		t.Errorf("b must be live out of the call (used by continuation k): %v", lv.Out(call))
 	}
-	if !lv.LiveOut(call, "a") {
+	if !lv.LiveOut(call, slot(g, "a")) {
 		t.Errorf("a must be live out of the call (used by c = b+c+a): %v", lv.Out(call))
 	}
 	// d is not live anywhere before the continuation binds it.
-	if lv.LiveIn(g.Entry, "d") {
+	if lv.LiveIn(g.Entry, slot(g, "d")) {
 		t.Errorf("d live at entry: %v", lv.In(g.Entry))
 	}
 }
@@ -212,7 +212,7 @@ continuation k(d):
 	// BEFORE the call (b = a) must now be dead at the call.
 	var firstAssign *cfg.Node
 	for _, n := range g.Nodes() {
-		if n.Kind == cfg.KindAssign && n.LHSVar == "b" {
+		if n.Kind == cfg.KindAssign && n.LHSVar != nil && n.LHSVar.Name == "b" {
 			firstAssign = n
 			break
 		}
@@ -220,7 +220,7 @@ continuation k(d):
 	if firstAssign == nil {
 		t.Fatal("no first assign")
 	}
-	if lv.LiveOut(call, "b") {
+	if lv.LiveOut(call, slot(g, "b")) {
 		t.Errorf("b live out of call despite no handler use: %v", lv.Out(call))
 	}
 }
@@ -231,7 +231,7 @@ func TestLivenessLoop(t *testing.T) {
 	lv := ComputeLiveness(g)
 	br := findKind(g, cfg.KindBranch)
 	for _, v := range []string{"n", "s", "p"} {
-		if !lv.LiveIn(br, v) {
+		if !lv.LiveIn(br, slot(g, v)) {
 			t.Errorf("%s not live at loop head: %v", v, lv.In(br))
 		}
 	}
@@ -242,7 +242,10 @@ func TestLiveAcross(t *testing.T) {
 	g := p.Graph("f")
 	lv := ComputeLiveness(g)
 	call := findKind(g, cfg.KindCall)
-	across := lv.LiveAcross(call)
+	var across []string
+	for _, s := range lv.LiveAcross(call) {
+		across = append(across, g.Locals[s].Name)
+	}
 	want := map[string]bool{"a": true, "b": true}
 	for _, v := range across {
 		if !want[v] {
@@ -340,7 +343,7 @@ func TestFigure6SSA(t *testing.T) {
 	k := call.Bundle.Unwinds[0]
 	bBefore := 0
 	for _, n := range g.Nodes() {
-		if n.Kind == cfg.KindAssign && n.LHSVar == "b" {
+		if n.Kind == cfg.KindAssign && n.LHSVar != nil && n.LHSVar.Name == "b" {
 			bBefore = s.Defs[n]["b"]
 		}
 	}
@@ -356,7 +359,7 @@ func TestFigure6SSA(t *testing.T) {
 	// The normal path's use of b is the call result.
 	var cAssign *cfg.Node
 	for _, n := range g.Nodes() {
-		if n.Kind == cfg.KindAssign && n.LHSVar == "c" && s.Defs[n]["c"] == 3 {
+		if n.Kind == cfg.KindAssign && n.LHSVar != nil && n.LHSVar.Name == "c" && s.Defs[n]["c"] == 3 {
 			cAssign = n
 		}
 	}
@@ -490,4 +493,14 @@ g() { return (); }
 	if ef2 := NodeEffects(call2, nil); len(ef2.AbortUses) != 0 {
 		t.Error("non-aborting call has abort-edge uses")
 	}
+}
+
+// slot returns the slot of g's local name.
+func slot(g *cfg.Graph, name string) int {
+	for i, l := range g.Locals {
+		if l.Name == name {
+			return i
+		}
+	}
+	panic("no local " + name)
 }

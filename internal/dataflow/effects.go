@@ -64,20 +64,23 @@ func newEffects() *Effects {
 	}
 }
 
+// memRef stands for MemVar where a variable reference is expected.
+var memRef = &syntax.VarExpr{Name: MemVar}
+
 // FreeVars adds the free variables of e to set; a memory load adds
 // MemVar, exactly as fv in Table 3 "possibly includes the variable M".
 func FreeVars(e syntax.Expr, set map[string]bool) {
-	eachFreeVar(e, func(v string) { set[v] = true })
+	eachFreeVar(e, func(v *syntax.VarExpr) { set[v.Name] = true })
 }
 
 // eachFreeVar calls f on each free variable of e, as FreeVars collects
-// them, without allocating.
-func eachFreeVar(e syntax.Expr, f func(string)) {
+// them (a memory load as memRef), without allocating.
+func eachFreeVar(e syntax.Expr, f func(*syntax.VarExpr)) {
 	switch e := e.(type) {
 	case *syntax.VarExpr:
-		f(e.Name)
+		f(e)
 	case *syntax.MemExpr:
-		f(MemVar)
+		f(memRef)
 		eachFreeVar(e.Addr, f)
 	case *syntax.UnExpr:
 		eachFreeVar(e.X, f)
@@ -99,17 +102,13 @@ func contParamCount(n *cfg.Node) int {
 	return 0
 }
 
-// eachVarEffect is the part of n's Table 3 row that names variables: it
-// calls use on the free variables of n's expressions (with MemVar for a
-// memory load) and def on the variables n binds. NodeEffects adds the
-// rest of the row; liveness needs only this part, and it allocates
-// nothing.
-func eachVarEffect(n *cfg.Node, use, def func(string)) {
+// eachVarEffect is the part of n's Table 3 row that names variables other
+// than continuations: it calls use on the free variables of n's
+// expressions (with memRef for a memory load) and def on the variables n
+// binds. NodeEffects adds the rest of the row; liveness needs only this
+// part, and it allocates nothing.
+func eachVarEffect(n *cfg.Node, use, def func(*syntax.VarExpr)) {
 	switch n.Kind {
-	case cfg.KindEntry:
-		for _, cb := range n.Conts {
-			def(cb.Name)
-		}
 	case cfg.KindCopyIn:
 		for _, v := range n.Vars {
 			def(v)
@@ -139,12 +138,15 @@ func eachVarEffect(n *cfg.Node, use, def func(string)) {
 // pass nil for directly translated code, where σ is empty.
 func NodeEffects(n *cfg.Node, calleeSaves map[string]bool) *Effects {
 	ef := newEffects()
-	eachVarEffect(n, func(v string) { ef.Uses[v] = true }, func(v string) { ef.Defs[v] = true })
+	eachVarEffect(n, func(v *syntax.VarExpr) { ef.Uses[v.Name] = true }, func(v *syntax.VarExpr) { ef.Defs[v.Name] = true })
 	switch n.Kind {
 	case cfg.KindEntry:
-		// Entry: def each continuation variable (above); def M; def A[i]
-		// for the procedure's incoming parameters (consumed by the
-		// following CopyIn).
+		// Entry: def each continuation variable; def M; def A[i] for the
+		// procedure's incoming parameters (consumed by the following
+		// CopyIn).
+		for _, cb := range n.Conts {
+			ef.Defs[cb.Name] = true
+		}
 		ef.Defs[MemVar] = true
 		if len(n.Succ) > 0 && n.Succ[0].Kind == cfg.KindCopyIn {
 			for i := range n.Succ[0].Vars {
@@ -161,7 +163,7 @@ func NodeEffects(n *cfg.Node, calleeSaves map[string]bool) *Effects {
 		// defining CopyOut adjacent to the Exit.
 	case cfg.KindCopyIn:
 		for i, v := range n.Vars {
-			ef.Copies = append(ef.Copies, Copy{Dst: v, Src: AVar(i)})
+			ef.Copies = append(ef.Copies, Copy{Dst: v.Name, Src: AVar(i)})
 			ef.Uses[AVar(i)] = true
 		}
 	case cfg.KindCopyOut:

@@ -2,10 +2,9 @@ package dataflow
 
 import (
 	"math/bits"
-	"slices"
-	"sort"
 
 	"cmm/internal/cfg"
+	"cmm/internal/syntax"
 )
 
 // Liveness holds per-node live-variable sets for a graph's local
@@ -13,13 +12,12 @@ import (
 // is visible to every other procedure), so they never appear in the
 // sets; the optimizer must not delete assignments to them.
 //
-// Each set is a dense bitset over the sorted locals, ⌈locals/64⌉ words
-// per node, and the In and Out sets of every node share one backing
-// slice each, indexed by Node.ID. A Liveness is never written after the
-// solve, so goroutines may share one.
+// Each set is a dense bitset over the graph's local slots, ⌈locals/64⌉
+// words per node (bit i is slot i), and the In and Out sets of every
+// node share one backing slice each, indexed by Node.ID. A Liveness is
+// never written after the solve, so goroutines may share one.
 type Liveness struct {
 	Graph   *cfg.Graph
-	vars    []string // the locals, sorted: bit i of a set is vars[i]
 	words   int      // words per set
 	in, out []uint64 // node n's set is words [n.ID*words, (n.ID+1)*words)
 }
@@ -30,17 +28,6 @@ type Liveness struct {
 // exception handlers alive across calls (§6).
 func ComputeLiveness(g *cfg.Graph) *Liveness { return LivenessOver(g, g.Reachable(true), true) }
 
-// SortedLocals returns g's locals in sorted order: the variable index of
-// Liveness's bitsets and of the optimizer's lattice vectors.
-func SortedLocals(g *cfg.Graph) []string {
-	vars := make([]string, 0, len(g.Locals))
-	for v := range g.Locals {
-		vars = append(vars, v)
-	}
-	sort.Strings(vars)
-	return vars
-}
-
 // LivenessOver is ComputeLiveness over the edge view
 // cfg.Node.EachSucc(exceptional, _) visits: with exceptional false
 // the unwind and cut edges are hidden, as the optimizer's unsound
@@ -48,9 +35,8 @@ func SortedLocals(g *cfg.Graph) []string {
 // solver. nodes must be g.Reachable(exceptional), which a caller that
 // walks the graph anyway passes rather than walking it twice.
 func LivenessOver(g *cfg.Graph, nodes []*cfg.Node, exceptional bool) *Liveness {
-	vars := SortedLocals(g)
-	w := (len(vars) + 63) / 64
-	lv := &Liveness{Graph: g, vars: vars, words: w,
+	w := (len(g.Locals) + 63) / 64
+	lv := &Liveness{Graph: g, words: w,
 		in: make([]uint64, g.NumIDs()*w), out: make([]uint64, g.NumIDs()*w)}
 
 	// Transfer functions and successor IDs, by position in nodes: node
@@ -62,7 +48,7 @@ func LivenessOver(g *cfg.Graph, nodes []*cfg.Node, exceptional bool) *Liveness {
 	succ := make([]int, 0, 2*len(nodes))
 	for i, n := range nodes {
 		u, d := use[i*w:(i+1)*w], def[i*w:(i+1)*w]
-		eachVarEffect(n, func(v string) { lv.mark(u, v) }, func(v string) { lv.mark(d, v) })
+		eachVarEffect(n, func(v *syntax.VarExpr) { mark(u, v) }, func(v *syntax.VarExpr) { mark(d, v) })
 		n.EachSucc(exceptional, func(s *cfg.Node) { succ = append(succ, s.ID) })
 		start[i+1] = len(succ)
 	}
@@ -90,9 +76,9 @@ func LivenessOver(g *cfg.Graph, nodes []*cfg.Node, exceptional bool) *Liveness {
 }
 
 // mark sets v's bit in set; variables that are not locals have none.
-func (lv *Liveness) mark(set []uint64, v string) {
-	if i := sort.SearchStrings(lv.vars, v); i < len(lv.vars) && lv.vars[i] == v {
-		set[i/64] |= 1 << (i % 64)
+func mark(set []uint64, v *syntax.VarExpr) {
+	if v.Ref == syntax.RefLocal {
+		set[v.Slot/64] |= 1 << (v.Slot % 64)
 	}
 }
 
@@ -105,27 +91,35 @@ func (lv *Liveness) set(sets []uint64, n *cfg.Node) []uint64 {
 	return sets[n.ID*lv.words : (n.ID+1)*lv.words]
 }
 
-func (lv *Liveness) has(set []uint64, v string) bool {
-	i := sort.SearchStrings(lv.vars, v)
-	return i < len(lv.vars) && lv.vars[i] == v && i/64 < len(set) && set[i/64]&(1<<(i%64)) != 0
+func has(set []uint64, slot int) bool {
+	return slot/64 < len(set) && set[slot/64]&(1<<(slot%64)) != 0
 }
 
-// names lists the variables whose bits set holds, in sorted order.
-func (lv *Liveness) names(set []uint64) []string {
-	var out []string
+// slots lists the local slots whose bits set holds, in increasing order.
+func slots(set []uint64) []int {
+	var out []int
 	for k, word := range set {
 		for ; word != 0; word &= word - 1 {
-			out = append(out, lv.vars[k*64+bits.TrailingZeros64(word)])
+			out = append(out, k*64+bits.TrailingZeros64(word))
 		}
 	}
 	return out
 }
 
-// LiveIn reports whether v is live on entry to n.
-func (lv *Liveness) LiveIn(n *cfg.Node, v string) bool { return lv.has(lv.set(lv.in, n), v) }
+// names lists the locals whose bits set holds, in slot (= name) order.
+func (lv *Liveness) names(set []uint64) []string {
+	var out []string
+	for _, s := range slots(set) {
+		out = append(out, lv.Graph.Locals[s].Name)
+	}
+	return out
+}
 
-// LiveOut reports whether v is live on exit from n.
-func (lv *Liveness) LiveOut(n *cfg.Node, v string) bool { return lv.has(lv.set(lv.out, n), v) }
+// LiveIn reports whether local slot s is live on entry to n.
+func (lv *Liveness) LiveIn(n *cfg.Node, s int) bool { return has(lv.set(lv.in, n), s) }
+
+// LiveOut reports whether local slot s is live on exit from n.
+func (lv *Liveness) LiveOut(n *cfg.Node, s int) bool { return has(lv.set(lv.out, n), s) }
 
 // In returns the variables live on entry to n, in sorted order.
 func (lv *Liveness) In(n *cfg.Node) []string { return lv.names(lv.set(lv.in, n)) }
@@ -133,24 +127,25 @@ func (lv *Liveness) In(n *cfg.Node) []string { return lv.names(lv.set(lv.in, n))
 // Out returns the variables live on exit from n, in sorted order.
 func (lv *Liveness) Out(n *cfg.Node) []string { return lv.names(lv.set(lv.out, n)) }
 
-// LiveAcross reports the variables live across a call node: live on
-// entry to any of its bundle targets. These are the values a register
-// allocator would like to keep in callee-saves registers (§4.2).
-func (lv *Liveness) LiveAcross(call *cfg.Node) []string {
+// LiveAcross reports the slots of the locals live across a call node:
+// live on entry to any of its bundle targets. These are the values a
+// register allocator would like to keep in callee-saves registers
+// (§4.2).
+func (lv *Liveness) LiveAcross(call *cfg.Node) []int {
 	if call.Bundle == nil {
 		return nil
 	}
 	across := make([]uint64, lv.words)
 	for _, group := range [][]*cfg.Node{call.Bundle.Returns, call.Bundle.Unwinds, call.Bundle.Cuts} {
 		for _, t := range group {
-			for _, v := range lv.In(t) {
+			for _, s := range slots(lv.set(lv.in, t)) {
 				// Values (re)defined by the continuation's own CopyIn are
 				// passed in A, not preserved in registers.
-				if t.Kind != cfg.KindCopyIn || !slices.Contains(t.Vars, v) {
-					lv.mark(across, v)
+				if !t.Binds(s) {
+					across[s/64] |= 1 << (s % 64)
 				}
 			}
 		}
 	}
-	return lv.names(across)
+	return slots(across)
 }

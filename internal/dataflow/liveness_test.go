@@ -66,8 +66,7 @@ func refLiveness(g *cfg.Graph, exceptional bool) (in, out map[*cfg.Node]map[stri
 	succs := refSuccs(exceptional)
 	nodes := refNodes(g, succs)
 	isLocal := func(v string) bool {
-		_, ok := g.Locals[v]
-		return ok
+		return slices.ContainsFunc(g.Locals, func(l cfg.Var) bool { return l.Name == v })
 	}
 	use := map[*cfg.Node]map[string]bool{}
 	def := map[*cfg.Node]map[string]bool{}
@@ -143,7 +142,7 @@ func sortedSet(s map[string]bool) []string {
 	return out
 }
 
-func buildProgram(t testing.TB, name, src string) (*cfg.Program, *check.Info) {
+func buildProgram(t testing.TB, name, src string) *cfg.Program {
 	t.Helper()
 	ast, err := syntax.Parse(src)
 	if err != nil {
@@ -157,7 +156,7 @@ func buildProgram(t testing.TB, name, src string) (*cfg.Program, *check.Info) {
 	if err != nil {
 		t.Fatalf("%s: build: %v", name, err)
 	}
-	return prog, info
+	return prog
 }
 
 // compareWithReference checks the dense solver against refLiveness at
@@ -180,8 +179,8 @@ func compareWithReference(t *testing.T, where string, g *cfg.Graph) {
 			if got, want := lv.Out(n), sortedSet(out[n]); !slices.Equal(got, want) {
 				t.Errorf("%s: n%d %s: live-out %v, reference %v", view, n.ID, n.Kind, got, want)
 			}
-			for v := range g.Locals {
-				if lv.LiveIn(n, v) != in[n][v] || lv.LiveOut(n, v) != out[n][v] {
+			for s, l := range g.Locals {
+				if v := l.Name; lv.LiveIn(n, s) != in[n][v] || lv.LiveOut(n, s) != out[n][v] {
 					t.Errorf("%s: n%d %s: LiveIn/LiveOut(%s) disagree with the reference", view, n.ID, n.Kind, v)
 				}
 			}
@@ -232,11 +231,11 @@ func livenessCorpus(t *testing.T) map[string]string {
 // on every procedure of the corpus before and after optimization.
 func TestLivenessMatchesReference(t *testing.T) {
 	for name, src := range livenessCorpus(t) {
-		prog, info := buildProgram(t, name, src)
+		prog := buildProgram(t, name, src)
 		for _, pname := range prog.Order {
 			g := prog.Graphs[pname]
 			compareWithReference(t, name, g)
-			opt.Optimize(g, info, opt.Options{})
+			opt.Optimize(g, opt.Options{})
 			compareWithReference(t, name+" optimized", g)
 		}
 	}
@@ -274,14 +273,14 @@ func straightLine(k int) string {
 // inside its fixed-point loop, so a loop nest that takes several rounds
 // allocates no more than a straight-line procedure of the same size.
 func TestLivenessAllocsIndependentOfRounds(t *testing.T) {
-	loopProg, _ := buildProgram(t, "loop nest", loopNest)
+	loopProg := buildProgram(t, "loop nest", loopNest)
 	loop := loopProg.Graph("f")
 	if _, _, rounds := refLiveness(loop, true); rounds < 3 {
 		t.Fatalf("loop nest converges in %d rounds; the test needs at least 3", rounds)
 	}
 	var straight *cfg.Graph
 	for k := 2; straight == nil || len(straight.Nodes()) < len(loop.Nodes()); k++ {
-		prog, _ := buildProgram(t, "straight line", straightLine(k))
+		prog := buildProgram(t, "straight line", straightLine(k))
 		straight = prog.Graph("f")
 	}
 	if len(straight.Nodes()) != len(loop.Nodes()) || len(straight.Locals) != len(loop.Locals) {
@@ -316,7 +315,7 @@ func BenchmarkComputeLiveness(b *testing.B) {
 	}
 	var graphs []*cfg.Graph
 	for i, src := range srcs {
-		prog, _ := buildProgram(b, fmt.Sprint("source ", i), src)
+		prog := buildProgram(b, fmt.Sprint("source ", i), src)
 		for _, name := range prog.Order {
 			graphs = append(graphs, prog.Graphs[name])
 		}

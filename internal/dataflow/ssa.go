@@ -55,13 +55,21 @@ func BuildSSA(g *cfg.Graph) *SSA {
 		}
 	}
 
+	// The numbered variables: locals and continuations.
+	numbered := map[string]bool{}
+	for _, l := range g.Locals {
+		numbered[l.Name] = true
+	}
+	for name := range g.ContMap {
+		numbered[name] = true
+	}
 	// Collect definition sites per variable (Entry defines continuation
 	// names; CopyIn defines its variables; Assign defines its target).
 	defSites := map[string][]*cfg.Node{}
 	for _, n := range nodes {
 		ef := NodeEffects(n, nil)
 		for v := range ef.VarDefs() {
-			if _, isLocal := g.Locals[v]; isLocal || isCont(g, v) {
+			if numbered[v] {
 				defSites[v] = append(defSites[v], n)
 			}
 		}
@@ -122,7 +130,7 @@ func BuildSSA(g *cfg.Graph) *SSA {
 		defs := map[string]int{}
 		dvars := make([]string, 0)
 		for v := range ef.VarDefs() {
-			if _, isLocal := g.Locals[v]; isLocal || isCont(g, v) {
+			if numbered[v] {
 				dvars = append(dvars, v)
 			}
 		}
@@ -148,11 +156,6 @@ func BuildSSA(g *cfg.Graph) *SSA {
 	}
 	rename(g.Entry)
 	return s
-}
-
-func isCont(g *cfg.Graph, v string) bool {
-	_, ok := g.ContMap[v]
-	return ok
 }
 
 // Verify checks the SSA invariants: every phi has one argument per

@@ -2,7 +2,6 @@ package dataflow
 
 import (
 	"cmm/internal/cfg"
-	"cmm/internal/check"
 	"cmm/internal/syntax"
 )
 
@@ -35,30 +34,17 @@ const (
 )
 
 // ResolveCallee resolves the target expression of a Call, Jump, or CutTo
-// node in g to a name and kind. Targets that are not simple names — or
-// names bound to mutable variables — resolve to CalleeUnknown. The
-// fallback by-name lookup in prog.Graphs covers the synthesized
-// slow-but-solid procedures, whose call sites carry fresh VarExprs that
-// the checker never saw.
-func ResolveCallee(prog *cfg.Program, g *cfg.Graph, target syntax.Expr) (string, CalleeKind) {
-	v, ok := target.(*syntax.VarExpr)
-	if !ok {
-		return "", CalleeUnknown
-	}
-	if sym := prog.Info.Uses[v]; sym != nil {
-		switch sym.Kind {
-		case check.SymProc:
-			return sym.Name, CalleeProc
-		case check.SymImport:
-			return sym.Name, CalleeImport
-		case check.SymCont:
-			return v.Name, CalleeCont
-		}
-		return "", CalleeUnknown
-	}
-	if _, shadowed := g.Locals[v.Name]; !shadowed {
-		if _, isProc := prog.Graphs[v.Name]; isProc {
+// node to a name and kind. Targets that are not simple names — or
+// names bound to mutable variables — resolve to CalleeUnknown.
+func ResolveCallee(target syntax.Expr) (string, CalleeKind) {
+	if v, ok := target.(*syntax.VarExpr); ok {
+		switch v.Ref {
+		case syntax.RefProc:
 			return v.Name, CalleeProc
+		case syntax.RefImport:
+			return v.Name, CalleeImport
+		case syntax.RefCont:
+			return v.Name, CalleeCont
 		}
 	}
 	return "", CalleeUnknown
@@ -138,7 +124,7 @@ func Summarize(prog *cfg.Program) *Summaries {
 					sum.ReturnsNormally = true
 				}
 			case cfg.KindCutTo:
-				if _, kind := ResolveCallee(prog, g, n.Callee); kind != CalleeCont {
+				if _, kind := ResolveCallee(n.Callee); kind != CalleeCont {
 					sum.MayCut = true
 				}
 			case cfg.KindCall:
@@ -146,7 +132,7 @@ func Summarize(prog *cfg.Program) *Summaries {
 					sum.MayYield = true
 					continue
 				}
-				callee, kind := ResolveCallee(prog, g, n.Callee)
+				callee, kind := ResolveCallee(n.Callee)
 				switch kind {
 				case CalleeProc:
 					calls[name] = append(calls[name], callEdge{
@@ -160,7 +146,7 @@ func Summarize(prog *cfg.Program) *Summaries {
 					sum.Incomplete = true
 				}
 			case cfg.KindJump:
-				callee, kind := ResolveCallee(prog, g, n.Callee)
+				callee, kind := ResolveCallee(n.Callee)
 				switch kind {
 				case CalleeProc:
 					jumps[name] = append(jumps[name], callee)

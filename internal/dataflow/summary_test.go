@@ -165,7 +165,7 @@ g(bits32 x) { return (x); }
 		default:
 			continue
 		}
-		name, kind := ResolveCallee(prog, g, target)
+		name, kind := ResolveCallee(target)
 		kinds[name] = kind
 	}
 	want := map[string]CalleeKind{

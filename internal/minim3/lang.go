@@ -245,7 +245,7 @@ scan:
 	start := l.pos
 	col := l.col()
 	switch {
-	case unicode.IsLetter(c) || c == '_':
+	case c == '_' || ('a' <= c && c <= 'z') || ('A' <= c && c <= 'Z'): // as isWordByte
 		for l.pos < len(l.src) && (isWordByte(l.src[l.pos])) {
 			l.pos++
 		}

@@ -1,6 +1,10 @@
 package minim3
 
-import "testing"
+import (
+	"testing"
+
+	"cmm/internal/pipeline"
+)
 
 // TestCalleeSavesAcrossCutRegression pins the fix for a subtle
 // stack-cutting bug: when a raise cuts past an intermediate frame that
@@ -239,5 +243,14 @@ proc f() {
 `
 	if _, err := Compile(src, PolicyCutting); err == nil {
 		t.Fatal("expected return-inside-finally error")
+	}
+}
+
+// TestLexerRejectsNonASCIILetter pins the fix for a lexer that started an
+// identifier on any Latin-1 letter byte but consumed only ASCII word
+// bytes, emitting empty identifiers until memory ran out.
+func TestLexerRejectsNonASCIILetter(t *testing.T) {
+	if _, err := NewSession("proc e(\xff", PolicyCutting, CompileOptions{}, pipeline.Config{}); err == nil {
+		t.Fatal("expected a diagnostic for a non-ASCII byte")
 	}
 }

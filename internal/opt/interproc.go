@@ -57,7 +57,7 @@ func Interproc(prog *cfg.Program) *InterprocResult {
 			if len(b.Cuts) == 0 && len(b.Unwinds) == 0 && !b.Abort {
 				continue
 			}
-			callee, kind := dataflow.ResolveCallee(prog, g, n.Callee)
+			callee, kind := dataflow.ResolveCallee(n.Callee)
 			quiet := kind == dataflow.CalleeImport
 			if kind == dataflow.CalleeProc {
 				if sum := cons.Procs[callee]; sum != nil && sum.Quiet() {
@@ -129,5 +129,8 @@ func pruneConts(g *cfg.Graph) int {
 		}
 	}
 	g.Entry.Conts = kept
+	if removed > 0 {
+		g.NumberConts()
+	}
 	return removed
 }

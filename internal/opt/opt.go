@@ -16,10 +16,8 @@ package opt
 import (
 	"fmt"
 	"slices"
-	"strings"
 
 	"cmm/internal/cfg"
-	"cmm/internal/check"
 	"cmm/internal/dataflow"
 	"cmm/internal/syntax"
 )
@@ -55,13 +53,13 @@ type Options struct {
 }
 
 // Optimize runs the pass pipeline on g to a fixed point.
-func Optimize(g *cfg.Graph, info *check.Info, opts Options) *Result {
+func Optimize(g *cfg.Graph, opts Options) *Result {
 	max := opts.MaxRounds
 	if max == 0 {
 		max = 10
 	}
 	res := &Result{}
-	o := newOptimizer(g, info, opts, res)
+	o := newOptimizer(g, opts, res)
 	for round := 0; round < max; round++ {
 		res.Rounds = round + 1
 		before := res.total()
@@ -78,12 +76,9 @@ func Optimize(g *cfg.Graph, info *check.Info, opts Options) *Result {
 
 type optimizer struct {
 	g    *cfg.Graph
-	info *check.Info
 	opts Options
 	res  *Result
 
-	vars  []string         // the sorted locals: the lattice vectors' index
-	index map[string]int32 // a local's position in vars
 	// nodes are the nodes reachable over the flow edges the analysis may
 	// follow (plus continuation bindings, which stay reachable through
 	// the Entry node). foldBranches and deadCode walk again when they
@@ -97,12 +92,8 @@ type optimizer struct {
 	dirty           []bool
 }
 
-func newOptimizer(g *cfg.Graph, info *check.Info, opts Options, res *Result) *optimizer {
-	o := &optimizer{g: g, info: info, opts: opts, res: res,
-		vars: dataflow.SortedLocals(g), index: make(map[string]int32, len(g.Locals))}
-	for i, v := range o.vars {
-		o.index[v] = int32(i)
-	}
+func newOptimizer(g *cfg.Graph, opts Options, res *Result) *optimizer {
+	o := &optimizer{g: g, opts: opts, res: res}
 	o.walk()
 	return o
 }
@@ -127,7 +118,7 @@ const (
 
 type lat struct {
 	val  uint64
-	src  int32 // latCopy: the copied-from local's index in o.vars
+	src  int32 // latCopy: the copied-from local's slot
 	kind latKind
 }
 
@@ -141,13 +132,13 @@ func meet(a, b lat) lat {
 	return lat{kind: latBottom}
 }
 
-func (o *optimizer) isLocal(v string) bool { _, ok := o.index[v]; return ok }
+func isLocal(v *syntax.VarExpr) bool { return v.Ref == syntax.RefLocal }
 
 // propagate runs a combined constant/copy propagation to a fixed point
 // and then rewrites uses.
 func (o *optimizer) propagate() {
 	in := o.solve()
-	nv := len(o.vars)
+	nv := len(o.g.Locals)
 	for i, n := range o.nodes {
 		vm := in[i*nv : (i+1)*nv]
 		rewrite := func(e syntax.Expr) syntax.Expr { return o.rewriteExpr(e, vm) }
@@ -159,8 +150,7 @@ func (o *optimizer) propagate() {
 		}
 		if n.LHSMem != nil {
 			if addr := rewrite(n.LHSMem.Addr); addr != n.LHSMem.Addr {
-				n.LHSMem = &syntax.MemExpr{Type: n.LHSMem.Type, Addr: addr}
-				o.info.SetType(n.LHSMem, n.LHSMem.Type)
+				n.LHSMem = syntax.NewMem(n.LHSMem.Ty, addr)
 			}
 		}
 		if n.Cond != nil {
@@ -172,15 +162,16 @@ func (o *optimizer) propagate() {
 	}
 }
 
-// solve computes every node's in vector: o.nodes[i]'s is
-// in[i*len(o.vars):(i+1)*len(o.vars)], and the zero lat is ⊤. A node's
+// solve computes every node's in vector, indexed by local slot:
+// o.nodes[i]'s is in[i*len(o.g.Locals):(i+1)*len(o.g.Locals)], and the
+// zero lat is ⊤. A node's
 // out vector is cached and recomputed only when its in vector changes,
 // and a node is revisited only when a predecessor's did. The lattice is
 // not monotone (evalLat reads ⊤ as ⊥), so the fixed point depends on
 // the visit order: the solver keeps the round-robin order over o.nodes,
 // and what it skips would recompute the same vectors.
 func (o *optimizer) solve() []lat {
-	nodes, nv := o.nodes, len(o.vars)
+	nodes, nv := o.nodes, len(o.g.Locals)
 	pos := resize(&o.pos, o.g.NumIDs())
 	for i, n := range nodes {
 		pos[n.ID] = int32(i)
@@ -237,11 +228,11 @@ func resize[T any](buf *[]T, n int) []T {
 // transfer computes n's out vector from its in vector.
 func (o *optimizer) transfer(n *cfg.Node, in, out []lat) {
 	copy(out, in)
-	kill := func(v string) {
-		i, ok := o.index[v]
-		if !ok {
+	kill := func(v *syntax.VarExpr) {
+		if !isLocal(v) {
 			return
 		}
+		i := int32(v.Slot)
 		out[i] = lat{kind: latBottom}
 		// Any copy of v is invalidated.
 		for k, l := range out {
@@ -251,10 +242,6 @@ func (o *optimizer) transfer(n *cfg.Node, in, out []lat) {
 		}
 	}
 	switch n.Kind {
-	case cfg.KindEntry:
-		for _, cb := range n.Conts {
-			kill(cb.Name)
-		}
 	case cfg.KindCopyIn:
 		for _, v := range n.Vars {
 			kill(v)
@@ -265,7 +252,7 @@ func (o *optimizer) transfer(n *cfg.Node, in, out []lat) {
 			kill(n.LHSVar)
 			// Self-copies (x := x-shaped) must not record x as a copy of
 			// itself.
-			if i, ok := o.index[n.LHSVar]; ok && !(l.kind == latCopy && l.src == i) {
+			if i := int32(n.LHSVar.Slot); isLocal(n.LHSVar) && !(l.kind == latCopy && l.src == i) {
 				out[i] = l
 			}
 		}
@@ -278,9 +265,9 @@ func (o *optimizer) evalLat(e syntax.Expr, vm []lat) lat {
 	case *syntax.IntLit:
 		return lat{kind: latConst, val: e.Val}
 	case *syntax.VarExpr:
-		i, ok := o.index[e.Name]
+		i := int32(e.Slot)
 		switch {
-		case !ok || vm[i].kind == latTop: // a global, or uninitialized: unknown
+		case !isLocal(e) || vm[i].kind == latTop: // a global, or uninitialized: unknown
 			return lat{kind: latBottom}
 		case vm[i].kind == latBottom:
 			return lat{kind: latCopy, src: i}
@@ -288,10 +275,10 @@ func (o *optimizer) evalLat(e syntax.Expr, vm []lat) lat {
 		return vm[i] // a constant, or a copy chain
 	case *syntax.UnExpr:
 		x := o.evalLat(e.X, vm)
-		if x.kind != latConst || o.typeOf(e).Kind == syntax.FloatType {
+		if x.kind != latConst || e.Ty.Kind == syntax.FloatType {
 			return lat{kind: latBottom}
 		}
-		w := o.typeOf(e).Width
+		w := e.Ty.Width
 		switch e.Op {
 		case syntax.MINUS:
 			return lat{kind: latConst, val: (-x.val) & mask(w)}
@@ -310,7 +297,7 @@ func (o *optimizer) evalLat(e syntax.Expr, vm []lat) lat {
 		if x.kind != latConst || y.kind != latConst {
 			return lat{kind: latBottom}
 		}
-		xt := o.typeOf(e.X)
+		xt := e.X.Type()
 		if xt.Kind == syntax.FloatType {
 			return lat{kind: latBottom}
 		}
@@ -334,7 +321,7 @@ func (o *optimizer) evalLat(e syntax.Expr, vm []lat) lat {
 		}
 		w := syntax.Word.Width
 		if len(e.Args) > 0 {
-			w = o.typeOf(e.Args[0]).Width
+			w = e.Args[0].Type().Width
 		}
 		v, ok := cfg.EvalPrim(e.Name, args, w)
 		if !ok {
@@ -343,14 +330,6 @@ func (o *optimizer) evalLat(e syntax.Expr, vm []lat) lat {
 		return lat{kind: latConst, val: v}
 	}
 	return lat{kind: latBottom}
-}
-
-func (o *optimizer) typeOf(e syntax.Expr) syntax.Type {
-	t := o.info.TypeOf(e)
-	if t == (syntax.Type{}) {
-		return syntax.Word
-	}
-	return t
 }
 
 func mask(w int) uint64 {
@@ -362,45 +341,40 @@ func mask(w int) uint64 {
 
 // rewriteExpr substitutes constants and copies into e, bottom-up. It
 // returns e itself when nothing below it changed, so a round that
-// substitutes nothing allocates nothing and records no new types.
+// substitutes nothing allocates nothing. A new node takes the type of
+// the node it replaces.
 func (o *optimizer) rewriteExpr(e syntax.Expr, vm []lat) syntax.Expr {
 	if e == nil {
 		return nil
 	}
 	// First try to fold the whole expression to a constant.
 	if l := o.evalLat(e, vm); l.kind == latConst {
-		if _, already := e.(*syntax.IntLit); !already {
-			t := o.typeOf(e)
-			if t.Kind == syntax.BitsType {
-				lit := &syntax.IntLit{Val: l.val, Type: t}
-				o.info.SetType(lit, t)
-				o.res.ConstantsFolded++
-				return lit
-			}
+		if _, already := e.(*syntax.IntLit); !already && e.Type().Kind == syntax.BitsType {
+			o.res.ConstantsFolded++
+			return syntax.NewInt(l.val, e.Type())
 		}
 		return e
 	}
 	switch e := e.(type) {
 	case *syntax.VarExpr:
-		if i, ok := o.index[e.Name]; ok && vm[i].kind == latCopy && vm[i].src != i {
+		if i := int32(e.Slot); isLocal(e) && vm[i].kind == latCopy && vm[i].src != i {
 			o.res.CopiesPropagated++
-			v := &syntax.VarExpr{Name: o.vars[vm[i].src]}
-			o.info.SetType(v, o.typeOf(e))
-			return v
+			src := vm[i].src
+			return syntax.NewVar(o.g.Locals[src].Name, syntax.RefLocal, int(src), e.Ty)
 		}
 		return e
 	case *syntax.MemExpr:
 		if addr := o.rewriteExpr(e.Addr, vm); addr != e.Addr {
-			return o.typed(&syntax.MemExpr{Type: e.Type, Addr: addr}, e.Type)
+			return syntax.NewMem(e.Ty, addr)
 		}
 	case *syntax.UnExpr:
 		if x := o.rewriteExpr(e.X, vm); x != e.X {
-			return o.typed(&syntax.UnExpr{Op: e.Op, X: x}, o.typeOf(e))
+			return syntax.NewUn(e.Op, x, e.Ty)
 		}
 	case *syntax.BinExpr:
 		x, y := o.rewriteExpr(e.X, vm), o.rewriteExpr(e.Y, vm)
 		if x != e.X || y != e.Y {
-			return o.typed(&syntax.BinExpr{Op: e.Op, X: x, Y: y}, o.typeOf(e))
+			return syntax.NewBin(e.Op, x, y, e.Ty)
 		}
 	case *syntax.PrimExpr:
 		var args []syntax.Expr // allocated at the first changed argument
@@ -414,16 +388,10 @@ func (o *optimizer) rewriteExpr(e syntax.Expr, vm []lat) syntax.Expr {
 			}
 		}
 		if args != nil {
-			return o.typed(&syntax.PrimExpr{Name: e.Name, Args: args}, o.typeOf(e))
+			return syntax.NewPrim(e.Name, args, e.Ty)
 		}
 	}
 	return e
-}
-
-// typed records the type of ne, a rewritten expression.
-func (o *optimizer) typed(ne syntax.Expr, t syntax.Type) syntax.Expr {
-	o.info.SetType(ne, t)
-	return ne
 }
 
 // --- Constant branch resolution ---
@@ -507,7 +475,7 @@ func (o *optimizer) deadCode() {
 		var dead []*cfg.Node
 		for _, n := range o.nodes {
 			// Assignments to globals are always observable.
-			if n.Kind == cfg.KindAssign && n.LHSMem == nil && o.isLocal(n.LHSVar) && !lv.LiveOut(n, n.LHSVar) {
+			if n.Kind == cfg.KindAssign && n.LHSMem == nil && isLocal(n.LHSVar) && !lv.LiveOut(n, n.LHSVar.Slot) {
 				dead = append(dead, n)
 			}
 		}
@@ -569,7 +537,11 @@ func (o *optimizer) localCSE() {
 			continue
 		}
 		// A block head: not an Assign chained from a single Assign pred.
-		avail := map[string]string{} // canonical expr -> variable holding it
+		type held struct {
+			expr   syntax.Expr
+			holder *syntax.VarExpr
+		}
+		avail := map[string]held{} // canonical expr -> the variable holding it
 		n := head
 		for n != nil && !visited[n] {
 			visited[n] = true
@@ -577,34 +549,28 @@ func (o *optimizer) localCSE() {
 				break
 			}
 			if preds[n] > 1 {
-				avail = map[string]string{}
+				avail = map[string]held{}
 			}
-			if n.LHSMem == nil && o.isLocal(n.LHSVar) {
-				key := exprKey(n.RHS)
-				hit := false
-				if prev, ok := avail[key]; ok && worthCSE(n.RHS) && prev != n.LHSVar {
-					v := &syntax.VarExpr{Name: prev}
-					o.info.SetType(v, o.typeOf(n.RHS))
-					n.RHS = v
+			if lhs, rhs := n.LHSVar, n.RHS; n.LHSMem == nil && isLocal(lhs) {
+				key := exprKey(rhs)
+				if prev, ok := avail[key]; ok && worthCSE(rhs) && prev.holder.Slot != lhs.Slot {
+					n.RHS = syntax.NewVar(prev.holder.Name, syntax.RefLocal, prev.holder.Slot, rhs.Type())
 					o.res.CSEHits++
-					hit = true
 				}
 				// The definition invalidates expressions that mention the
 				// defined variable, and any expression held in it.
-				for k, holder := range avail {
-					if holder == n.LHSVar || exprKeyMentions(k, n.LHSVar) {
+				for k, h := range avail {
+					if h.holder.Slot == lhs.Slot || reads(h.expr, lhs.Slot) {
 						delete(avail, k)
 					}
 				}
-				if !hit && worthCSE(n.RHS) && !usesVar(n.RHS, n.LHSVar) {
-					avail[key] = n.LHSVar
-				} else if hit && !exprKeyMentions(key, n.LHSVar) {
-					avail[key] = n.LHSVar
+				if worthCSE(rhs) && !reads(rhs, lhs.Slot) {
+					avail[key] = held{rhs, lhs}
 				}
 			} else if n.LHSMem != nil {
 				// A store invalidates every load-bearing expression.
-				for k := range avail {
-					if strings.Contains(k, "[") {
+				for k, h := range avail {
+					if reads(h.expr, -1) {
 						delete(avail, k)
 					}
 				}
@@ -625,33 +591,18 @@ func worthCSE(e syntax.Expr) bool {
 	return false
 }
 
-func usesVar(e syntax.Expr, v string) bool {
-	set := map[string]bool{}
-	dataflow.FreeVars(e, set)
-	return set[v]
-}
-
 func exprKey(e syntax.Expr) string { return syntax.ExprString(e) }
 
-func exprKeyMentions(key, v string) bool {
-	// Conservative: substring match on word boundaries.
-	idx := 0
-	for {
-		i := strings.Index(key[idx:], v)
-		if i < 0 {
-			return false
+// reads reports whether e reads local slot s, or memory when s is -1.
+func reads(e syntax.Expr, s int) bool {
+	found := false
+	cfg.WalkExpr(e, func(x syntax.Expr) {
+		switch x := x.(type) {
+		case *syntax.VarExpr:
+			found = found || isLocal(x) && x.Slot == s
+		case *syntax.MemExpr:
+			found = found || s < 0
 		}
-		i += idx
-		before := i == 0 || !isIdentChar(key[i-1])
-		after := i+len(v) >= len(key) || !isIdentChar(key[i+len(v)])
-		if before && after {
-			return true
-		}
-		idx = i + 1
-	}
-}
-
-func isIdentChar(c byte) bool {
-	return c == '_' || c == '.' || c == '$' ||
-		(c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
+	})
+	return found
 }

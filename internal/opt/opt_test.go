@@ -60,7 +60,7 @@ f() {
 }
 `)
 	g := p.Graph("f")
-	res := Optimize(g, p.Info, Options{})
+	res := Optimize(g, Options{})
 	if res.ConstantsFolded == 0 {
 		t.Errorf("nothing folded: %s", res)
 	}
@@ -93,7 +93,7 @@ f() {
 }
 `)
 	g := p.Graph("f")
-	res := Optimize(g, p.Info, Options{})
+	res := Optimize(g, Options{})
 	if res.BranchesResolved != 1 {
 		t.Errorf("branches resolved: %s", res)
 	}
@@ -117,7 +117,7 @@ f(bits32 a) {
 }
 `)
 	g := p.Graph("f")
-	res := Optimize(g, p.Info, Options{})
+	res := Optimize(g, Options{})
 	if res.CopiesPropagated == 0 {
 		t.Errorf("no copies propagated: %s\n%s", res, g)
 	}
@@ -140,7 +140,7 @@ f(bits32 a) {
 `)
 	g := p.Graph("f")
 	before := countAssigns(g)
-	res := Optimize(g, p.Info, Options{})
+	res := Optimize(g, Options{})
 	if res.AssignsRemoved != 1 || countAssigns(g) != before-1 {
 		t.Errorf("dead assign not removed: %s\n%s", res, g)
 	}
@@ -154,7 +154,7 @@ f(bits32 a) {
 }
 `)
 	g := p.Graph("f")
-	Optimize(g, p.Info, Options{})
+	Optimize(g, Options{})
 	found := false
 	for _, n := range g.Nodes() {
 		if n.Kind == cfg.KindAssign && n.LHSMem != nil {
@@ -175,7 +175,7 @@ f() {
 }
 `)
 	g := p.Graph("f")
-	Optimize(g, p.Info, Options{})
+	Optimize(g, Options{})
 	if countAssigns(g) != 1 {
 		t.Errorf("global assignment removed:\n%s", g)
 	}
@@ -191,7 +191,7 @@ f(bits32 a, bits32 b) {
 }
 `)
 	g := p.Graph("f")
-	res := Optimize(g, p.Info, Options{})
+	res := Optimize(g, Options{})
 	if res.CSEHits == 0 {
 		t.Errorf("no CSE: %s\n%s", res, g)
 	}
@@ -211,7 +211,7 @@ f(bits32 a, bits32 b) {
 }
 `)
 	g := p.Graph("f")
-	Optimize(g, p.Info, Options{})
+	Optimize(g, Options{})
 	if got := run(t, p, "f", 3, 4)[0].Bits; got != 3*4+4*4 {
 		t.Errorf("f(3,4) = %d, want %d", got, 3*4+4*4)
 	}
@@ -237,7 +237,7 @@ f(bits32 a) {
 }
 `)
 	g := p.Graph("f")
-	Optimize(g, p.Info, Options{})
+	Optimize(g, Options{})
 	m1, _ := sem.New(p, sem.WithMaxSteps(100000))
 	m2, _ := sem.New(p2, sem.WithMaxSteps(100000))
 	m1.Store(0x8000, 10, 4)
@@ -258,7 +258,7 @@ func TestOptimizePreservesFigure1(t *testing.T) {
 	pOpt := build(t, paper.Figure1)
 	pRef := build(t, paper.Figure1)
 	for _, name := range pOpt.Order {
-		Optimize(pOpt.Graphs[name], pOpt.Info, Options{})
+		Optimize(pOpt.Graphs[name], Options{})
 	}
 	for n := uint64(1); n <= 8; n++ {
 		for _, proc := range []string{"sp1", "sp2", "sp3"} {
@@ -292,7 +292,7 @@ g(bits32 kv) {
 
 func TestHennessyCorrectnessWithEdges(t *testing.T) {
 	p := build(t, hennessySrc)
-	Optimize(p.Graph("f"), p.Info, Options{})
+	Optimize(p.Graph("f"), Options{})
 	got := run(t, p, "f", 41)
 	if got[0].Bits != 42 {
 		t.Errorf("f(41) = %d, want 42 (handler must see b)", got[0].Bits)
@@ -301,7 +301,7 @@ func TestHennessyCorrectnessWithEdges(t *testing.T) {
 
 func TestHennessyMiscompilesWithoutEdges(t *testing.T) {
 	p := build(t, hennessySrc)
-	res := Optimize(p.Graph("f"), p.Info, Options{WithoutExceptionEdges: true})
+	res := Optimize(p.Graph("f"), Options{WithoutExceptionEdges: true})
 	if res.AssignsRemoved == 0 {
 		t.Fatalf("ablation did not remove the handler-only value: %s\n%s", res, p.Graph("f"))
 	}
@@ -362,7 +362,7 @@ g() {
 		t.Fatal(err)
 	}
 	pOpt, _ := build2()
-	Optimize(pOpt.Graphs["f"], pOpt.Info, Options{})
+	Optimize(pOpt.Graphs["f"], Options{})
 	_, mOpt := func() (*cfg.Program, *sem.Machine) {
 		rts := sem.RuntimeFunc(func(m *sem.Machine, args []sem.Value) error {
 			a, _ := m.FirstActivation()
@@ -400,10 +400,10 @@ g() {
 func TestOptimizeIdempotent(t *testing.T) {
 	p := build(t, paper.Figure1)
 	for _, name := range p.Order {
-		Optimize(p.Graphs[name], p.Info, Options{})
+		Optimize(p.Graphs[name], Options{})
 	}
 	for _, name := range p.Order {
-		res := Optimize(p.Graphs[name], p.Info, Options{})
+		res := Optimize(p.Graphs[name], Options{})
 		if res.total() != 0 {
 			t.Errorf("%s: second run still changed things: %s", name, res)
 		}
@@ -426,7 +426,7 @@ loop:
     goto loop;
 }
 `)
-	Optimize(p.Graph("f"), p.Info, Options{})
+	Optimize(p.Graph("f"), Options{})
 	if got := run(t, p, "f", 5)[0].Bits; got != 10 {
 		t.Errorf("f(5) = %d, want 10", got)
 	}
@@ -447,7 +447,7 @@ f(bits32 x) {
 }
 `)
 	g := p.Graph("f")
-	res := Optimize(g, p.Info, Options{})
+	res := Optimize(g, Options{})
 	if res.ConstantsFolded == 0 {
 		t.Errorf("constant not propagated through join: %s\n%s", res, g)
 	}
@@ -469,7 +469,7 @@ f(bits32 x) {
     return (r);
 }
 `)
-	Optimize(p.Graph("f"), p.Info, Options{})
+	Optimize(p.Graph("f"), Options{})
 	if got := run(t, p, "f", 0)[0].Bits; got != 6 {
 		t.Errorf("f(0) = %d", got)
 	}
@@ -486,7 +486,7 @@ f() {
     return (x);
 }
 `)
-	res := Optimize(p.Graph("f"), p.Info, Options{})
+	res := Optimize(p.Graph("f"), Options{})
 	if res.ConstantsFolded == 0 {
 		t.Errorf("primitive not folded: %s", res)
 	}
@@ -507,7 +507,7 @@ f(bits32 take) {
     return (x);
 }
 `)
-	Optimize(p.Graph("f"), p.Info, Options{})
+	Optimize(p.Graph("f"), Options{})
 	if got := run(t, p, "f", 0)[0].Bits; got != 1 {
 		t.Errorf("f(0) = %d", got)
 	}
@@ -536,7 +536,7 @@ f() {
 }
 `)
 	g := p.Graph("f")
-	res := Optimize(g, p.Info, Options{})
+	res := Optimize(g, Options{})
 	if res.BranchesResolved != 2 {
 		t.Errorf("resolved %d branches, want 2: %s\n%s", res.BranchesResolved, res, g)
 	}
@@ -569,7 +569,7 @@ bump() {
     return ();
 }
 `)
-	Optimize(p.Graph("f"), p.Info, Options{})
+	Optimize(p.Graph("f"), Options{})
 	if got := run(t, p, "f")[0].Bits; got != 11 {
 		t.Errorf("f() = %d, want 11 (5 + 6)", got)
 	}
@@ -586,7 +586,7 @@ f(bits32 a) {
 }
 `)
 	g := p.Graph("f")
-	res := Optimize(g, p.Info, Options{})
+	res := Optimize(g, Options{})
 	// All three copies collapse; the return uses a directly.
 	if res.AssignsRemoved != 3 {
 		t.Errorf("removed %d, want 3: %s\n%s", res.AssignsRemoved, res, g)
@@ -606,7 +606,7 @@ f(bits32 a) {
 }
 `)
 	g := p.Graph("f")
-	Optimize(g, p.Info, Options{})
+	Optimize(g, Options{})
 	if got := run(t, p, "f", 4)[0].Bits; got != 4 {
 		t.Errorf("f(4) = %d", got)
 	}
@@ -622,7 +622,7 @@ func TestOptimizeFigure10Program(t *testing.T) {
 		paper.Figure10 + paper.RaiseCutting
 	p := build(t, src)
 	for _, name := range p.Order {
-		Optimize(p.Graphs[name], p.Info, Options{})
+		Optimize(p.Graphs[name], Options{})
 	}
 	// Memory stores of the handler continuation survive.
 	g := p.Graph("TryAMove")
@@ -634,5 +634,50 @@ func TestOptimizeFigure10Program(t *testing.T) {
 	}
 	if stores == 0 {
 		t.Errorf("exception-stack push optimized away:\n%s", g)
+	}
+}
+
+// TestPrunedContinuationsRenumbered: dropping a dead continuation shifts
+// the Entry's continuation list, and Interproc renumbers the references
+// to those that stay, so the abstract machine still finds b.
+func TestPrunedContinuationsRenumbered(t *testing.T) {
+	p := build(t, `
+f(bits32 n) {
+    bits32 r;
+    r = q(n) also unwinds to a;
+    r = g(b) also cuts to b;
+    return (r);
+continuation a(r):
+    return (r + 100);
+continuation b(r):
+    return (r + 1);
+}
+q(bits32 n) { return (n); }
+g(bits32 k) { cut to k(5); }
+`)
+	if res := Interproc(p); res.ContsRemoved != 1 {
+		t.Fatalf("removed %d continuations, want 1 (a)", res.ContsRemoved)
+	}
+	g := p.Graph("f")
+	if len(g.Entry.Conts) != 1 || g.Entry.Conts[0].Name != "b" {
+		t.Fatalf("continuations after pruning: %+v", g.Entry.Conts)
+	}
+	for _, n := range g.AllNodes() {
+		cfg.WalkNodeExprs(n, func(e syntax.Expr) {
+			if v, ok := e.(*syntax.VarExpr); ok && v.Ref == syntax.RefCont && v.Slot != 0 {
+				t.Errorf("%s keeps slot %d", v.Name, v.Slot)
+			}
+		})
+	}
+	m, err := sem.New(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vs, err := m.Run("f", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if vs[0].Bits != 6 {
+		t.Fatalf("f(1) = %d, want 6", vs[0].Bits)
 	}
 }

@@ -90,15 +90,15 @@ func refSolve(o *optimizer) map[*cfg.Node]refMap {
 			}
 		case cfg.KindCopyIn:
 			for _, v := range n.Vars {
-				kill(v)
+				kill(v.Name)
 			}
 		case cfg.KindAssign:
 			if n.LHSMem == nil {
 				l := refEvalLat(o, n.RHS, vm)
-				kill(n.LHSVar)
-				if o.isLocal(n.LHSVar) {
-					if !(l.kind == latCopy && l.src == n.LHSVar) {
-						out[n.LHSVar] = l
+				kill(n.LHSVar.Name)
+				if refIsLocal(o, n.LHSVar.Name) {
+					if !(l.kind == latCopy && l.src == n.LHSVar.Name) {
+						out[n.LHSVar.Name] = l
 					}
 				}
 			}
@@ -140,8 +140,7 @@ func refPropagate(o *optimizer) {
 			n.RHS = rewrite(n.RHS)
 		}
 		if n.LHSMem != nil {
-			n.LHSMem = &syntax.MemExpr{Type: n.LHSMem.Type, Addr: rewrite(n.LHSMem.Addr)}
-			o.info.SetType(n.LHSMem, n.LHSMem.Type)
+			n.LHSMem = syntax.NewMem(n.LHSMem.Ty, rewrite(n.LHSMem.Addr))
 		}
 		if n.Cond != nil {
 			n.Cond = rewrite(n.Cond)
@@ -152,13 +151,26 @@ func refPropagate(o *optimizer) {
 	}
 }
 
+// refIsLocal and refSlot find a local by name, as the replaced solver's
+// name index did.
+func refIsLocal(o *optimizer, v string) bool { return refSlot(o, v) >= 0 }
+
+func refSlot(o *optimizer, v string) int {
+	for i, l := range o.g.Locals {
+		if l.Name == v {
+			return i
+		}
+	}
+	return -1
+}
+
 func refEvalLat(o *optimizer, e syntax.Expr, vm refMap) refLat {
 	bottom := refLat{kind: latBottom}
 	switch e := e.(type) {
 	case *syntax.IntLit:
 		return refLat{kind: latConst, val: e.Val}
 	case *syntax.VarExpr:
-		if !o.isLocal(e.Name) {
+		if !refIsLocal(o, e.Name) {
 			return bottom
 		}
 		l := vm.get(e.Name)
@@ -174,10 +186,10 @@ func refEvalLat(o *optimizer, e syntax.Expr, vm refMap) refLat {
 		return l
 	case *syntax.UnExpr:
 		x := refEvalLat(o, e.X, vm)
-		if x.kind != latConst || o.typeOf(e).Kind == syntax.FloatType {
+		if x.kind != latConst || refTypeOf(e).Kind == syntax.FloatType {
 			return bottom
 		}
-		w := o.typeOf(e).Width
+		w := refTypeOf(e).Width
 		switch e.Op {
 		case syntax.MINUS:
 			return refLat{kind: latConst, val: (-x.val) & mask(w)}
@@ -196,7 +208,7 @@ func refEvalLat(o *optimizer, e syntax.Expr, vm refMap) refLat {
 		if x.kind != latConst || y.kind != latConst {
 			return bottom
 		}
-		xt := o.typeOf(e.X)
+		xt := refTypeOf(e.X)
 		if xt.Kind == syntax.FloatType {
 			return bottom
 		}
@@ -220,7 +232,7 @@ func refEvalLat(o *optimizer, e syntax.Expr, vm refMap) refLat {
 		}
 		w := syntax.Word.Width
 		if len(e.Args) > 0 {
-			w = o.typeOf(e.Args[0]).Width
+			w = refTypeOf(e.Args[0]).Width
 		}
 		v, ok := cfg.EvalPrim(e.Name, args, w)
 		if !ok {
@@ -231,52 +243,49 @@ func refEvalLat(o *optimizer, e syntax.Expr, vm refMap) refLat {
 	return bottom
 }
 
+// refTypeOf is the replaced type lookup: a missing type reads as Word.
+func refTypeOf(e syntax.Expr) syntax.Type {
+	if t := e.Type(); t != (syntax.Type{}) {
+		return t
+	}
+	return syntax.Word
+}
+
 func refRewriteExpr(o *optimizer, e syntax.Expr, vm refMap) syntax.Expr {
 	if e == nil {
 		return nil
 	}
 	if l := refEvalLat(o, e, vm); l.kind == latConst {
 		if _, already := e.(*syntax.IntLit); !already {
-			t := o.typeOf(e)
+			t := refTypeOf(e)
 			if t.Kind == syntax.BitsType {
-				lit := &syntax.IntLit{Val: l.val, Type: t}
-				o.info.SetType(lit, t)
 				o.res.ConstantsFolded++
-				return lit
+				return syntax.NewInt(l.val, t)
 			}
 		}
 		return e
 	}
 	switch e := e.(type) {
 	case *syntax.VarExpr:
-		if o.isLocal(e.Name) {
-			if l := vm.get(e.Name); l.kind == latCopy && l.src != e.Name && o.isLocal(l.src) {
+		if refIsLocal(o, e.Name) {
+			if l := vm.get(e.Name); l.kind == latCopy && l.src != e.Name && refIsLocal(o, l.src) {
 				o.res.CopiesPropagated++
-				v := &syntax.VarExpr{Name: l.src}
-				o.info.SetType(v, o.typeOf(e))
-				return v
+				return syntax.NewVar(l.src, syntax.RefLocal, refSlot(o, l.src), refTypeOf(e))
 			}
 		}
 		return e
 	case *syntax.MemExpr:
-		ne := &syntax.MemExpr{Type: e.Type, Addr: refRewriteExpr(o, e.Addr, vm)}
-		o.info.SetType(ne, e.Type)
-		return ne
+		return syntax.NewMem(e.Ty, refRewriteExpr(o, e.Addr, vm))
 	case *syntax.UnExpr:
-		ne := &syntax.UnExpr{Op: e.Op, X: refRewriteExpr(o, e.X, vm)}
-		o.info.SetType(ne, o.typeOf(e))
-		return ne
+		return syntax.NewUn(e.Op, refRewriteExpr(o, e.X, vm), refTypeOf(e))
 	case *syntax.BinExpr:
-		ne := &syntax.BinExpr{Op: e.Op, X: refRewriteExpr(o, e.X, vm), Y: refRewriteExpr(o, e.Y, vm)}
-		o.info.SetType(ne, o.typeOf(e))
-		return ne
+		return syntax.NewBin(e.Op, refRewriteExpr(o, e.X, vm), refRewriteExpr(o, e.Y, vm), refTypeOf(e))
 	case *syntax.PrimExpr:
-		ne := &syntax.PrimExpr{Name: e.Name}
+		var args []syntax.Expr
 		for _, a := range e.Args {
-			ne.Args = append(ne.Args, refRewriteExpr(o, a, vm))
+			args = append(args, refRewriteExpr(o, a, vm))
 		}
-		o.info.SetType(ne, o.typeOf(e))
-		return ne
+		return syntax.NewPrim(e.Name, args, refTypeOf(e))
 	}
 	return e
 }
@@ -289,7 +298,7 @@ func refDeadCode(o *optimizer) {
 		lv := dataflow.LivenessOver(o.g, nodes, o.allEdges())
 		removed := 0
 		for _, n := range nodes {
-			if n.Kind == cfg.KindAssign && n.LHSMem == nil && o.isLocal(n.LHSVar) && !lv.LiveOut(n, n.LHSVar) {
+			if n.Kind == cfg.KindAssign && n.LHSMem == nil && refIsLocal(o, n.LHSVar.Name) && !lv.LiveOut(n, n.LHSVar.Slot) {
 				refBypass(o.g, n)
 				removed++
 			}
@@ -342,18 +351,19 @@ func refBypass(g *cfg.Graph, n *cfg.Node) {
 // renderDense renders the in vector of every node in o.nodes, one line
 // per node, ⊤ entries omitted.
 func renderDense(o *optimizer, in []lat) []string {
-	nv := len(o.vars)
+	nv := len(o.g.Locals)
+	name := func(s int) string { return o.g.Locals[s].Name }
 	lines := make([]string, len(o.nodes))
 	for i, n := range o.nodes {
 		var parts []string
 		for k, l := range in[i*nv : (i+1)*nv] {
 			switch l.kind {
 			case latConst:
-				parts = append(parts, fmt.Sprintf("%s=%d", o.vars[k], l.val))
+				parts = append(parts, fmt.Sprintf("%s=%d", name(k), l.val))
 			case latCopy:
-				parts = append(parts, fmt.Sprintf("%s=copy(%s)", o.vars[k], o.vars[l.src]))
+				parts = append(parts, fmt.Sprintf("%s=copy(%s)", name(k), name(int(l.src))))
 			case latBottom:
-				parts = append(parts, o.vars[k]+"=⊥")
+				parts = append(parts, name(k)+"=⊥")
 			}
 		}
 		lines[i] = fmt.Sprintf("n%d %s: %s", n.ID, n.Kind, strings.Join(parts, " "))
@@ -369,7 +379,7 @@ func renderRef(o *optimizer, in map[*cfg.Node]refMap) []string {
 	for i, n := range o.nodes {
 		var names []string
 		for v := range in[n] {
-			if o.isLocal(v) {
+			if refIsLocal(o, v) {
 				names = append(names, v)
 			}
 		}
@@ -451,11 +461,11 @@ func compareWithReference(t *testing.T, where, src string, opts Options) {
 	dense, ref, plain := build(t, src), build(t, src), build(t, src)
 	for _, pname := range dense.Order {
 		where := fmt.Sprintf("%s/%s noexc=%v", where, pname, opts.WithoutExceptionEdges)
-		want := Optimize(plain.Graphs[pname], plain.Info, opts)
+		want := Optimize(plain.Graphs[pname], opts)
 
 		gd, gr := dense.Graphs[pname], ref.Graphs[pname]
 		rd, rr := &Result{}, &Result{}
-		od, or := newOptimizer(gd, dense.Info, opts, rd), newOptimizer(gr, ref.Info, opts, rr)
+		od, or := newOptimizer(gd, opts, rd), newOptimizer(gr, opts, rr)
 		for round := 0; round < 10; round++ {
 			rd.Rounds, rr.Rounds = round+1, round+1
 			before := rd.total()
@@ -551,8 +561,8 @@ func TestBypassDeadChain(t *testing.T) {
 	}
 	dense, ref := build(t, deadAtOnce), build(t, deadAtOnce)
 	gd, gr := dense.Graph("f"), ref.Graph("f")
-	od := newOptimizer(gd, dense.Info, Options{}, &Result{})
-	or := newOptimizer(gr, ref.Info, Options{}, &Result{})
+	od := newOptimizer(gd, Options{}, &Result{})
+	or := newOptimizer(gr, Options{}, &Result{})
 	od.deadCode()
 	refDeadCode(or)
 	if od.res.AssignsRemoved != 3 || or.res.AssignsRemoved != 3 {
@@ -579,7 +589,7 @@ L:
 }
 `)
 	done := make(chan *Result, 1)
-	go func() { done <- Optimize(p.Graph("f"), p.Info, Options{}) }()
+	go func() { done <- Optimize(p.Graph("f"), Options{}) }()
 	select {
 	case res := <-done:
 		if res.AssignsRemoved != 0 || countAssigns(p.Graph("f")) != 1 {
@@ -612,9 +622,9 @@ func TestReoptimizeKeepsExpressions(t *testing.T) {
 		p := build(t, src)
 		for _, pname := range p.Order {
 			g := p.Graphs[pname]
-			Optimize(g, p.Info, Options{})
+			Optimize(g, Options{})
 			before := exprPointers(g)
-			if res := Optimize(g, p.Info, Options{}); res.total() != 0 {
+			if res := Optimize(g, Options{}); res.total() != 0 {
 				continue // the first run stopped at MaxRounds
 			}
 			checked++

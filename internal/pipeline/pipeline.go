@@ -7,10 +7,10 @@
 //
 // Per-procedure passes fan their work out across a worker pool:
 // compilation of independent procedures is embarrassingly parallel, and
-// the only cross-procedure mutable state — the checker's expression-type
-// table, which the optimizer extends for rewritten expressions — is
-// guarded inside check.Info. Results are byte-identical to serial mode
-// by construction: every worker writes only into its own index of a
+// no mutable state is shared across procedures — a worker writes only
+// its own procedure's graph, and an expression node it builds carries
+// its own type. Results are byte-identical to serial mode by
+// construction: every worker writes only into its own index of a
 // result slice, and every serial phase (linking, stat aggregation)
 // consumes those slices in declaration order. The determinism test in
 // this package enforces the property over randomized programs.
@@ -556,7 +556,7 @@ func (s *Session) OptimizeWith(o opt.Options) (opt.Result, error) {
 	results := make([]*opt.Result, len(s.prog.Order))
 	err := s.timePass(PassOpt, len(s.prog.Order), s.irNodes(), s.irNodes, func() error {
 		return s.forEachProc(func(i int, name string) error {
-			results[i] = opt.Optimize(s.prog.Graphs[name], s.info, o)
+			results[i] = opt.Optimize(s.prog.Graphs[name], o)
 			return nil
 		})
 	})

@@ -99,7 +99,7 @@ func TestOptimizationPreservesBehavior(t *testing.T) {
 			ref := build(t, src)
 			optd := build(t, src)
 			for _, name := range optd.Order {
-				opt.Optimize(optd.Graphs[name], optd.Info, opt.Options{})
+				opt.Optimize(optd.Graphs[name], opt.Options{})
 			}
 			for _, arg := range []uint64{0, 3, 50} {
 				if a, b := semRun(t, ref, arg), semRun(t, optd, arg); a != b {
@@ -119,7 +119,7 @@ func TestOptimizedCompiledAgree(t *testing.T) {
 		ref := build(t, src)
 		optd := build(t, src)
 		for _, name := range optd.Order {
-			opt.Optimize(optd.Graphs[name], optd.Info, opt.Options{})
+			opt.Optimize(optd.Graphs[name], opt.Options{})
 		}
 		for _, arg := range []uint64{2, 9} {
 			if a, b := semRun(t, ref, arg), vmRun(t, optd, codegen.Options{}, arg); a != b {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cmm/internal/cfg"
+	"cmm/internal/syntax"
 )
 
 // TestCutKillsCalleeSavesVariables checks the ρ′ \ σ′ part of the CutTo
@@ -43,7 +44,7 @@ g(bits32 kv) {
 		t.Fatal("no call")
 	}
 	cs := g.NewNode(cfg.KindCalleeSaves, call.Pos)
-	cs.Saved = []string{"y"}
+	cs.Saved = []*syntax.VarExpr{local(g, "y")}
 	// Redirect the call's predecessor (the CopyOut) through the new node.
 	preds := g.Preds()
 	co := preds[call][0]
@@ -94,7 +95,7 @@ g(bits32 kv) {
 		}
 	}
 	cs := g.NewNode(cfg.KindCalleeSaves, call.Pos)
-	cs.Saved = []string{"y"}
+	cs.Saved = []*syntax.VarExpr{local(g, "y")}
 	preds := g.Preds()
 	co := preds[call][0]
 	cs.Succ = []*cfg.Node{call}
@@ -114,4 +115,14 @@ g(bits32 kv) {
 	if vs[0].Bits != 8 {
 		t.Fatalf("got %d, want 8", vs[0].Bits)
 	}
+}
+
+// local returns a reference to g's local name.
+func local(g *cfg.Graph, name string) *syntax.VarExpr {
+	for i, l := range g.Locals {
+		if l.Name == name {
+			return syntax.NewVar(name, syntax.RefLocal, i, l.Type)
+		}
+	}
+	panic("no local " + name)
 }

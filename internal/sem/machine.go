@@ -31,7 +31,6 @@ type Machine struct {
 	Prog    *cfg.Program
 	Img     *cfg.Image
 	Mem     []byte
-	Globals map[string]Value
 	Foreign map[string]ForeignFunc
 	RTS     RuntimeSystem
 
@@ -48,10 +47,15 @@ type Machine struct {
 	nextContH   uint64
 	graphOf     map[*cfg.Node]*cfg.Graph
 
-	// The seven components of the machine state.
+	globals []Value // the global registers, by slot (source order)
+
+	// The seven components of the machine state. ρ is env's first
+	// len(cur.Locals) values, indexed by local slot; the continuations
+	// Entry binds follow, indexed by continuation slot. σ is saved,
+	// indexed by local slot, and nil when empty.
 	ctrl  *cfg.Node
-	env   map[string]Value
-	saved map[string]bool
+	env   []Value
+	saved []bool
 	uid   int
 	// Mem is M; A and stack follow.
 	A     []Value
@@ -136,7 +140,7 @@ func (m *Machine) emitCtl(k obs.Kind, sp, a, b uint64) {
 func New(prog *cfg.Program, opts ...Option) (*Machine, error) {
 	m := &Machine{
 		Prog:        prog,
-		Globals:     map[string]Value{},
+		globals:     make([]Value, len(prog.Globals)),
 		Foreign:     map[string]ForeignFunc{},
 		procVals:    map[string]Value{},
 		handles:     map[uint64]Value{},
@@ -184,8 +188,8 @@ func New(prog *cfg.Program, opts ...Option) (*Machine, error) {
 		return nil, fmt.Errorf("data image (%d bytes at %#x) exceeds memory size %d", len(img.Bytes), img.Base, len(m.Mem))
 	}
 	copy(m.Mem[img.Base:], img.Bytes)
-	for _, g := range prog.Globals {
-		m.Globals[g.Name] = Word(g.Init)
+	for i, g := range prog.Globals {
+		m.globals[i] = Word(g.Init)
 	}
 	return m, nil
 }
@@ -232,8 +236,7 @@ func (m *Machine) Run(proc string, args ...uint64) ([]Value, error) {
 	}
 	m.ctrl = v.Node
 	m.cur = m.graphOf[v.Node]
-	m.env = map[string]Value{}
-	m.saved = map[string]bool{}
+	m.env, m.saved = nil, nil
 	m.uid = m.freshUID()
 	m.A = make([]Value, len(args))
 	for i, a := range args {
@@ -268,12 +271,15 @@ func (m *Machine) Step() error {
 	case cfg.KindEntry:
 		// Entry binds the procedure's continuations into an empty
 		// environment; the incoming environment is discarded.
-		env := map[string]Value{}
-		for _, cb := range n.Conts {
-			env[cb.Name] = m.contValue(cb.Node, m.uid)
+		nl := len(m.cur.Locals)
+		env := make([]Value, nl+len(n.Conts))
+		for i := range nl {
+			env[i] = unset
 		}
-		m.env = env
-		m.saved = map[string]bool{}
+		for i, cb := range n.Conts {
+			env[nl+i] = m.contValue(cb.Node, m.uid)
+		}
+		m.env, m.saved = env, nil
 		m.ctrl = n.Succ[0]
 		return nil
 
@@ -282,7 +288,9 @@ func (m *Machine) Step() error {
 			return m.wrongf("CopyIn expects %d values, but the value-passing area holds %d", len(n.Vars), len(m.A))
 		}
 		for i, v := range n.Vars {
-			m.env[v] = m.A[i]
+			if err := m.set(v, m.A[i]); err != nil {
+				return err
+			}
 		}
 		m.A = nil // CopyIn replaces A by the empty list
 		m.ctrl = n.Succ[0]
@@ -302,11 +310,10 @@ func (m *Machine) Step() error {
 		return nil
 
 	case cfg.KindCalleeSaves:
-		set := map[string]bool{}
+		m.saved = make([]bool, len(m.cur.Locals))
 		for _, v := range n.Saved {
-			set[v] = true
+			m.saved[v.Slot] = true
 		}
-		m.saved = set
 		m.ctrl = n.Succ[0]
 		return nil
 
@@ -320,9 +327,13 @@ func (m *Machine) Step() error {
 			if err != nil {
 				return err
 			}
-			return m.store(addr.Bits, v.Bits, n.LHSMem.Type.Bytes(), n)
+			return m.store(addr.Bits, v.Bits, n.LHSMem.Ty.Bytes(), n)
 		}
-		return m.assignVar(n.LHSVar, v)
+		if err := m.set(n.LHSVar, v); err != nil {
+			return err
+		}
+		m.ctrl = n.Succ[0]
+		return nil
 
 	case cfg.KindBranch:
 		v, err := m.eval(n.Cond)
@@ -404,8 +415,7 @@ func (m *Machine) call(n *cfg.Node) error {
 		})
 		m.ctrl = m.Prog.YieldNode
 		m.cur = nil
-		m.env = map[string]Value{}
-		m.saved = map[string]bool{}
+		m.env, m.saved = nil, nil
 		m.uid = m.freshUID()
 		return nil
 	}
@@ -423,8 +433,7 @@ func (m *Machine) call(n *cfg.Node) error {
 		m.emitCtl(obs.KCall, m.semSP(len(m.stack)), callee.Bits, 0)
 		m.ctrl = callee.Node
 		m.cur = m.graphOf[callee.Node]
-		m.env = map[string]Value{}
-		m.saved = map[string]bool{}
+		m.env, m.saved = nil, nil
 		m.uid = m.freshUID()
 		return nil
 	case KForeign:
@@ -456,8 +465,7 @@ func (m *Machine) jump(callee Value) error {
 		m.emitCtl(obs.KCall, m.semSP(len(m.stack)), callee.Bits, 0)
 		m.ctrl = callee.Node
 		m.cur = m.graphOf[callee.Node]
-		m.env = map[string]Value{}
-		m.saved = map[string]bool{}
+		m.env, m.saved = nil, nil
 		m.uid = m.freshUID()
 		return nil
 	case KForeign:
@@ -543,16 +551,16 @@ func (m *Machine) cutTo(target Value, ownBundle *cfg.Bundle) error {
 			}
 			m.stack = m.stack[:len(m.stack)-1]
 			// Callee-saves registers are not restored: remove them from
-			// the saved environment (ρ′ \ σ′).
-			env := map[string]Value{}
-			for k, v := range fr.Env {
-				if !fr.Saved[k] {
-					env[k] = v
+			// the saved environment (ρ′ \ σ′). The popped frame's
+			// environment is no one else's, so it is edited in place.
+			for s, inReg := range fr.Saved {
+				if inReg {
+					fr.Env[s] = unset
 				}
 			}
 			m.ctrl = target.Node
-			m.env = env
-			m.saved = map[string]bool{}
+			m.env = fr.Env
+			m.saved = nil
 			m.uid = fr.UID
 			m.cur = fr.Graph
 			// sp one below the landing activation: the pop rule discards
@@ -634,21 +642,17 @@ func widthMask(bits int) uint64 {
 	return 1<<uint(bits) - 1
 }
 
-func (m *Machine) assignVar(name string, v Value) error {
-	n := m.ctrl
-	if m.cur != nil {
-		if _, isLocal := m.cur.Locals[name]; isLocal {
-			m.env[name] = v
-			m.ctrl = n.Succ[0]
-			return nil
-		}
+// set assigns val to the variable v names.
+func (m *Machine) set(v *syntax.VarExpr, val Value) error {
+	switch v.Ref {
+	case syntax.RefLocal:
+		m.env[v.Slot] = val
+	case syntax.RefGlobal:
+		m.globals[v.Slot] = val
+	default:
+		return m.wrongf("assignment to undeclared variable %s", v.Name)
 	}
-	if _, isGlobal := m.Globals[name]; isGlobal {
-		m.Globals[name] = v
-		m.ctrl = n.Succ[0]
-		return nil
-	}
-	return m.wrongf("assignment to undeclared variable %s", name)
+	return nil
 }
 
 // --- Expression evaluation (E[[e]]ρM, §5.1) ---
@@ -658,7 +662,7 @@ func (m *Machine) eval(e syntax.Expr) (Value, error) {
 	case *syntax.IntLit:
 		return Word(e.Val), nil
 	case *syntax.FloatLit:
-		if e.Type.Width == 32 {
+		if e.Ty.Width == 32 {
 			return Word(uint64(math.Float32bits(float32(e.Val)))), nil
 		}
 		return Word(math.Float64bits(e.Val)), nil
@@ -669,13 +673,13 @@ func (m *Machine) eval(e syntax.Expr) (Value, error) {
 		}
 		return Word(addr), nil
 	case *syntax.VarExpr:
-		return m.lookup(e.Name)
+		return m.lookup(e)
 	case *syntax.MemExpr:
 		addr, err := m.eval(e.Addr)
 		if err != nil {
 			return Value{}, err
 		}
-		v, err := m.Load(addr.Bits, e.Type.Bytes())
+		v, err := m.Load(addr.Bits, e.Ty.Bytes())
 		if err != nil {
 			return Value{}, err
 		}
@@ -685,7 +689,7 @@ func (m *Machine) eval(e syntax.Expr) (Value, error) {
 		if err != nil {
 			return Value{}, err
 		}
-		t := m.typeOf(e)
+		t := e.Ty
 		if t.Kind == syntax.FloatType {
 			f := m.toFloat(x.Bits, t.Width)
 			switch e.Op {
@@ -715,7 +719,7 @@ func (m *Machine) eval(e syntax.Expr) (Value, error) {
 		if err != nil {
 			return Value{}, err
 		}
-		xt := m.typeOf(e.X)
+		xt := e.X.Type()
 		if xt.Kind == syntax.FloatType {
 			return m.evalFloatBin(e.Op, x.Bits, y.Bits, xt.Width)
 		}
@@ -738,7 +742,7 @@ func (m *Machine) eval(e syntax.Expr) (Value, error) {
 			}
 			args[i] = v.Bits
 			if i == 0 {
-				w = m.typeOf(a).Width
+				w = a.Type().Width
 			}
 		}
 		if w == 0 {
@@ -754,14 +758,6 @@ func (m *Machine) eval(e syntax.Expr) (Value, error) {
 		return Word(v), nil
 	}
 	return Value{}, m.wrongf("cannot evaluate %T", e)
-}
-
-func (m *Machine) typeOf(e syntax.Expr) syntax.Type {
-	t := m.Prog.Info.TypeOf(e)
-	if t == (syntax.Type{}) {
-		return syntax.Word
-	}
-	return t
 }
 
 func (m *Machine) toFloat(bits uint64, width int) float64 {
@@ -811,29 +807,28 @@ func (m *Machine) evalFloatBin(op syntax.Kind, x, y uint64, width int) (Value, e
 	return Value{}, m.wrongf("float operator %s unsupported", op)
 }
 
-// lookup resolves a name: local environment first (which includes the
-// continuations bound at Entry), then global registers, then procedure
-// and data-label addresses.
-func (m *Machine) lookup(name string) (Value, error) {
-	if m.cur != nil {
-		if _, isLocal := m.cur.Locals[name]; isLocal {
-			if v, ok := m.env[name]; ok {
-				return v, nil
-			}
-			return Value{}, m.wrongf("read of uninitialized variable %s", name)
+// lookup reads the value v names, as the checker resolved it: a local
+// or a continuation of the running activation, a global register, or a
+// procedure, import or data-label address.
+func (m *Machine) lookup(v *syntax.VarExpr) (Value, error) {
+	switch v.Ref {
+	case syntax.RefLocal:
+		if x := m.env[v.Slot]; x.Kind != kUnset {
+			return x, nil
 		}
-		if v, ok := m.env[name]; ok { // continuation bound at Entry
-			return v, nil
+		return Value{}, m.wrongf("read of uninitialized variable %s", v.Name)
+	case syntax.RefCont:
+		return m.env[len(m.cur.Locals)+v.Slot], nil
+	case syntax.RefGlobal:
+		return m.globals[v.Slot], nil
+	case syntax.RefProc, syntax.RefImport:
+		if x, ok := m.procVals[v.Name]; ok {
+			return x, nil
+		}
+	case syntax.RefData:
+		if a, ok := m.Img.Labels[v.Name]; ok {
+			return Word(a), nil
 		}
 	}
-	if v, ok := m.Globals[name]; ok {
-		return v, nil
-	}
-	if v, ok := m.procVals[name]; ok {
-		return v, nil
-	}
-	if a, ok := m.Img.Labels[name]; ok {
-		return Word(a), nil
-	}
-	return Value{}, m.wrongf("undefined name %s", name)
+	return Value{}, m.wrongf("undefined name %s", v.Name)
 }

@@ -195,6 +195,28 @@ bump() {
 	}
 }
 
+// TestCallResultIntoGlobal: a call whose result is a global register
+// writes the global, which another procedure then reads. The
+// name-keyed machine wrote the result into the caller's environment
+// instead, so rd saw the initial value.
+func TestCallResultIntoGlobal(t *testing.T) {
+	src := `
+bits32 g = 1;
+f(bits32 n) {
+    bits32 r;
+    g = h(n);
+    r = rd();
+    return (r);
+}
+h(bits32 n) { return (n + 1); }
+rd() { return (g); }
+`
+	m := newMachine(t, src)
+	if got := run1(t, m, "f", 41); got != 42 {
+		t.Errorf("got %d, want 42", got)
+	}
+}
+
 func TestStaticDataAndStrings(t *testing.T) {
 	src := `
 section "data" {

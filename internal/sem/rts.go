@@ -111,8 +111,8 @@ func (m *Machine) evalStatic(e syntax.Expr) (uint64, error) {
 		if v, ok := m.procVals[e.Name]; ok {
 			return v.Bits, nil
 		}
-		if v, ok := m.Globals[e.Name]; ok {
-			return v.Bits, nil
+		if v, ok := m.GlobalWord(e.Name); ok {
+			return v, nil
 		}
 	case *syntax.StrLit:
 		if a, ok := m.Img.Strings[e.Val]; ok {
@@ -313,14 +313,22 @@ func (m *Machine) StackDepth() int { return len(m.stack) }
 // GlobalWord reads a global register as a word (for run-time systems and
 // tests).
 func (m *Machine) GlobalWord(name string) (uint64, bool) {
-	v, ok := m.Globals[name]
-	return v.Bits, ok
+	for i, g := range m.Prog.Globals {
+		if g.Name == name {
+			return m.globals[i].Bits, true
+		}
+	}
+	return 0, false
 }
 
 // SetGlobalWord writes a global register (for run-time systems and
-// tests).
+// tests); a name that is not a global is ignored.
 func (m *Machine) SetGlobalWord(name string, v uint64) {
-	m.Globals[name] = Word(v)
+	for i, g := range m.Prog.Globals {
+		if g.Name == name {
+			m.globals[i] = Word(v)
+		}
+	}
 }
 
 // ContValueFor exposes the continuation value Cont(node, uid) interning

@@ -22,7 +22,11 @@ const (
 	KCode                     // Code p: a pointer to node p (a procedure)
 	KForeign                  // code implemented by the host (imports)
 	KCont                     // Cont(p, u): continuation to node p in frame u
+
+	kUnset // an unassigned local; never leaves the environment
 )
+
+var unset = Value{Kind: kUnset}
 
 // Value is a machine value. Bits always holds the value's word
 // representation: for KBits the value itself, for the other kinds a
@@ -71,11 +75,12 @@ func (w *Wrong) Error() string {
 
 // Frame is one element of the abstract machine stack S: a continuation
 // bundle, the suspended activation's local environment, its callee-saves
-// variable set, and its unique id (§5).
+// variable set, and its unique id (§5). Env and Saved are laid out as
+// the machine's own (see Machine.env).
 type Frame struct {
 	Bundle *cfg.Bundle
-	Env    map[string]Value
-	Saved  map[string]bool
+	Env    []Value
+	Saved  []bool
 	UID    int
 	Graph  *cfg.Graph // the suspended procedure (for diagnostics and var types)
 	Site   *cfg.Node  // the suspended Call node

@@ -255,25 +255,35 @@ type LValue interface {
 type Expr interface {
 	expr()
 	Position() Pos
+	// Type is the expression's checked type. The checker sets it on
+	// every expression of the source, and a pass that builds an
+	// expression sets it in the constructor.
+	Type() Type
 }
 
-type exprBase struct{ Pos Pos }
+type exprBase struct {
+	Pos Pos
+	Ty  Type // see Expr.Type
+}
 
 func (e exprBase) expr()         {}
 func (e exprBase) Position() Pos { return e.Pos }
+func (e exprBase) Type() Type    { return e.Ty }
 
-// IntLit is an integer literal. Width 0 means "infer from context".
+// IntLit is an integer literal. Until checked its type is zero, meaning
+// "infer the width from context".
 type IntLit struct {
 	exprBase
-	Val  uint64
-	Type Type // zero value until checked
+	Val uint64
 }
+
+// NewInt returns the literal v of type t.
+func NewInt(v uint64, t Type) *IntLit { return &IntLit{exprBase: exprBase{Ty: t}, Val: v} }
 
 // FloatLit is a floating-point literal.
 type FloatLit struct {
 	exprBase
-	Val  float64
-	Type Type
+	Val float64
 }
 
 // StrLit denotes the address of an interned static NUL-terminated string.
@@ -282,22 +292,68 @@ type StrLit struct {
 	Val string
 }
 
-// VarExpr names a variable, procedure, continuation, or data label; which
-// one is resolved by the checker.
+// Ref is what a name denotes. The checker resolves every VarExpr of the
+// source and records the answer on it; later passes dispatch on it
+// rather than looking the name up again.
+type Ref uint8
+
+// The kinds of C-- names. The zero Ref marks a name not yet resolved.
+const (
+	RefNone   Ref = iota
+	RefLocal      // local register variable (incl. formals and temporaries)
+	RefGlobal     // global register variable
+	RefProc       // procedure name (immutable code pointer)
+	RefData       // data label (immutable data pointer)
+	RefCont       // continuation (value of native pointer type)
+	RefImport     // imported name (treated as a code pointer)
+)
+
+func (r Ref) String() string {
+	switch r {
+	case RefLocal:
+		return "local"
+	case RefGlobal:
+		return "global"
+	case RefProc:
+		return "procedure"
+	case RefData:
+		return "data label"
+	case RefCont:
+		return "continuation"
+	case RefImport:
+		return "import"
+	}
+	return "unknown"
+}
+
+// VarExpr names a variable, procedure, continuation, or data label. Ref
+// says which. Slot indexes, for a local, the procedure's locals
+// (cfg.Graph.Locals, numbered by translate); for a continuation, its
+// Entry's continuations (cfg.Node.Conts, numbered by translate); for a
+// global, the program's globals in source order (set by the checker).
 type VarExpr struct {
 	exprBase
 	Name string
+	Ref  Ref
+	Slot int
+}
+
+// NewVar returns a reference to name, resolved as ref to slot, of type t.
+func NewVar(name string, ref Ref, slot int, t Type) *VarExpr {
+	return &VarExpr{exprBase: exprBase{Ty: t}, Name: name, Ref: ref, Slot: slot}
 }
 
 func (v *VarExpr) lvalue() {}
 
 // MemExpr is an explicit memory access type[addr]; as an LValue it is a
-// store target, as an Expr a load.
+// store target, as an Expr a load. Its type is the access type.
 type MemExpr struct {
 	exprBase
-	Type Type
 	Addr Expr
 }
+
+// NewMem returns the access t[addr].
+func NewMem(t Type, addr Expr) *MemExpr { return &MemExpr{exprBase: exprBase{Ty: t}, Addr: addr} }
 
 func (m *MemExpr) lvalue() {}
 
@@ -308,11 +364,19 @@ type UnExpr struct {
 	X  Expr
 }
 
+// NewUn returns op x of type t.
+func NewUn(op Kind, x Expr, t Type) *UnExpr { return &UnExpr{exprBase: exprBase{Ty: t}, Op: op, X: x} }
+
 // BinExpr is a binary operation.
 type BinExpr struct {
 	exprBase
 	Op   Kind
 	X, Y Expr
+}
+
+// NewBin returns x op y of type t.
+func NewBin(op Kind, x, y Expr, t Type) *BinExpr {
+	return &BinExpr{exprBase: exprBase{Ty: t}, Op: op, X: x, Y: y}
 }
 
 // PrimExpr is a fast-but-dangerous primitive application %op(args) (§4.3):
@@ -321,6 +385,11 @@ type PrimExpr struct {
 	exprBase
 	Name string
 	Args []Expr
+}
+
+// NewPrim returns %name(args) of type t.
+func NewPrim(name string, args []Expr, t Type) *PrimExpr {
+	return &PrimExpr{exprBase: exprBase{Ty: t}, Name: name, Args: args}
 }
 
 // --- Pretty printing (used by tools and golden tests) ---
@@ -492,7 +561,7 @@ func ExprString(e Expr) string {
 	case *VarExpr:
 		return e.Name
 	case *MemExpr:
-		return fmt.Sprintf("%s[%s]", e.Type, ExprString(e.Addr))
+		return fmt.Sprintf("%s[%s]", e.Ty, ExprString(e.Addr))
 	case *UnExpr:
 		return fmt.Sprintf("%s%s", e.Op, ExprString(e.X))
 	case *BinExpr:

@@ -29,6 +29,9 @@ func ParseFile(file, src string) (*Program, error) {
 
 func (p *Parser) advance() {
 	if p.err != nil {
+		// A lexer error ends the parse: every loop and recursion stops
+		// at EOF, and errf reports the lexer's diagnostic.
+		p.tok = Token{Kind: EOF}
 		return
 	}
 	p.tok = p.nxt
@@ -746,7 +749,7 @@ func (p *Parser) parseBinary(minPrec int) (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		lhs = &BinExpr{exprBase: exprBase{pos}, Op: op, X: lhs, Y: rhs}
+		lhs = &BinExpr{exprBase: exprBase{Pos: pos}, Op: op, X: lhs, Y: rhs}
 	}
 }
 
@@ -760,7 +763,7 @@ func (p *Parser) parseUnary() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &UnExpr{exprBase: exprBase{pos}, Op: op, X: x}, nil
+		return &UnExpr{exprBase: exprBase{Pos: pos}, Op: op, X: x}, nil
 	}
 	return p.parsePrimary()
 }
@@ -771,15 +774,15 @@ func (p *Parser) parsePrimary() (Expr, error) {
 	case INT:
 		v := p.tok.Int
 		p.advance()
-		return &IntLit{exprBase: exprBase{pos}, Val: v}, nil
+		return &IntLit{exprBase: exprBase{Pos: pos}, Val: v}, nil
 	case FLOAT:
 		v := p.tok.Flt
 		p.advance()
-		return &FloatLit{exprBase: exprBase{pos}, Val: v}, nil
+		return &FloatLit{exprBase: exprBase{Pos: pos}, Val: v}, nil
 	case STRING:
 		s := p.tok.Text
 		p.advance()
-		return &StrLit{exprBase: exprBase{pos}, Val: s}, nil
+		return &StrLit{exprBase: exprBase{Pos: pos}, Val: s}, nil
 	case IDENT:
 		name := p.tok.Text
 		if t, ok := TypeByName(name); ok && p.nxt.Kind == LBRACKET {
@@ -792,10 +795,10 @@ func (p *Parser) parsePrimary() (Expr, error) {
 			if _, err := p.expect(RBRACKET); err != nil {
 				return nil, err
 			}
-			return &MemExpr{exprBase: exprBase{pos}, Type: t, Addr: addr}, nil
+			return &MemExpr{exprBase: exprBase{Pos: pos, Ty: t}, Addr: addr}, nil
 		}
 		p.advance()
-		return &VarExpr{exprBase: exprBase{pos}, Name: name}, nil
+		return &VarExpr{exprBase: exprBase{Pos: pos}, Name: name}, nil
 	case PRIM:
 		name := p.tok.Text
 		p.advance()
@@ -813,7 +816,7 @@ func (p *Parser) parsePrimary() (Expr, error) {
 		if _, err := p.expect(RPAREN); err != nil {
 			return nil, err
 		}
-		return &PrimExpr{exprBase: exprBase{pos}, Name: name, Args: args}, nil
+		return &PrimExpr{exprBase: exprBase{Pos: pos}, Name: name, Args: args}, nil
 	case LPAREN:
 		p.advance()
 		e, err := p.parseExpr()

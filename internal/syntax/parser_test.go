@@ -267,7 +267,7 @@ f(bits32 x, bits32 y) {
 	}
 	asg := prog.Procs[0].Body[0].(*AssignStmt)
 	mem, ok := asg.LHS[0].(*MemExpr)
-	if !ok || mem.Type.Width != 32 {
+	if !ok || mem.Type().Width != 32 {
 		t.Fatalf("store target: %#v", asg.LHS[0])
 	}
 	bin, ok := asg.RHS[0].(*BinExpr)
@@ -428,6 +428,10 @@ func TestParseErrors(t *testing.T) {
 		"bits32;",                      // global without name
 		`section "d" { x: bits32; }`,   // datum without values
 		`section "d" { x: wibble 1; }`, // not a type
+		// A lexer error must end the parse: these two once recursed
+		// until the goroutine stack overflowed.
+		"f() { g(0e); }",
+		"A(){return();return(!\xff",
 	}
 	for _, src := range cases {
 		if _, err := Parse(src); err == nil {

@@ -30,7 +30,6 @@ import (
 	"sort"
 
 	"cmm/internal/cfg"
-	"cmm/internal/check"
 	"cmm/internal/dataflow"
 	"cmm/internal/diag"
 	"cmm/internal/syntax"
@@ -108,7 +107,7 @@ func (v *verifier) contMentions(e syntax.Expr) []string {
 		if !ok {
 			return
 		}
-		if sym := v.prog.Info.Uses[ve]; sym != nil && sym.Kind == check.SymCont {
+		if ve.Ref == syntax.RefCont {
 			out = append(out, ve.Name)
 		}
 	})
@@ -151,11 +150,11 @@ func (v *verifier) assign(g *cfg.Graph, n *cfg.Node) {
 	switch {
 	case n.LHSMem != nil:
 		dest = "memory"
-	case n.LHSVar != "":
-		if _, local := g.Locals[n.LHSVar]; local {
+	case n.LHSVar != nil:
+		if n.LHSVar.Ref == syntax.RefLocal {
 			return
 		}
-		dest = "global " + n.LHSVar
+		dest = "global " + n.LHSVar.Name
 	default:
 		return
 	}
@@ -171,7 +170,7 @@ func (v *verifier) assign(g *cfg.Graph, n *cfg.Node) {
 // received from elsewhere are checked at call sites instead (may-cut
 // summaries).
 func (v *verifier) cut(g *cfg.Graph, n *cfg.Node) {
-	name, kind := dataflow.ResolveCallee(v.prog, g, n.Callee)
+	name, kind := dataflow.ResolveCallee(n.Callee)
 	if kind != dataflow.CalleeCont {
 		return
 	}
@@ -200,7 +199,7 @@ func (v *verifier) call(g *cfg.Graph, n *cfg.Node) {
 		return
 	}
 
-	callee, kind := dataflow.ResolveCallee(v.prog, g, n.Callee)
+	callee, kind := dataflow.ResolveCallee(n.Callee)
 	switch kind {
 	case dataflow.CalleeImport:
 		if alt != 0 {
