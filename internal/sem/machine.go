@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sort"
 
 	"cmm/internal/cfg"
 	"cmm/internal/obs"
@@ -21,11 +22,6 @@ const (
 	contBase       = 0x7F000000 // continuation handles
 )
 
-type contKey struct {
-	node *cfg.Node
-	uid  int
-}
-
 // Machine is the C-- abstract machine of §5.2.
 type Machine struct {
 	Prog    *cfg.Program
@@ -41,11 +37,18 @@ type Machine struct {
 	Steps    int64
 	runStart int64
 
-	procVals    map[string]Value
-	handles     map[uint64]Value // handle word -> rich value
-	contHandles map[contKey]uint64
-	nextContH   uint64
-	graphOf     map[*cfg.Node]*cfg.Graph
+	procVals map[string]Value
+	graphs   []*cfg.Graph // procedure handle procBase+16*i is graphs[i], prog.Order[i]
+	foreign  []string     // foreign handle foreignBase+16*i names import foreign[i]
+
+	// Continuation handles are handed out consecutively from nextContH:
+	// each Entry takes one per continuation it binds and records them in
+	// conts, which Run clears. A handle below runFirstH that is neither
+	// in conts nor a label belongs to an earlier run, so it is dead.
+	nextContH uint64
+	runFirstH uint64
+	conts     []contEntry
+	labels    []labelHandle
 
 	globals []Value // the global registers, by slot (source order)
 
@@ -57,9 +60,17 @@ type Machine struct {
 	env   []Value
 	saved []bool
 	uid   int
-	// Mem is M; A and stack follow.
+	// Mem is M; A and stack follow. A is abuf after a CopyOut.
 	A     []Value
 	stack []Frame
+
+	// bufs[d] holds ρ and σ of the activation at depth d (len(stack)
+	// while it runs, its stack index while it is suspended). At most one
+	// live activation has a given depth, so when Entry starts one at
+	// depth d, whoever used bufs[d] before is dead: a return, jump, cut
+	// or Resume that kills an activation frees its buffers this way.
+	bufs []frameBuf
+	abuf []Value
 
 	cur     *cfg.Graph // graph containing ctrl (nil inside the runtime)
 	nextUID int
@@ -67,8 +78,30 @@ type Machine struct {
 	results []Value
 
 	pending *resumption // set by the Table 1 interface during a yield
+	res     resumption  // what pending points at, reused by every yield
+	acts    []actRec    // Activation records by stack index, reused by every yield
 
 	obs *obs.Observer // optional observability sink (nil when disabled)
+}
+
+// contEntry records one activation's continuation handles: base,
+// base+16, ... name entry.Conts in order.
+type contEntry struct {
+	base  uint64
+	uid   int
+	entry *cfg.Node
+}
+
+// labelHandle is the word a computed-goto target label is interned as.
+type labelHandle struct {
+	word uint64
+	node *cfg.Node
+}
+
+// frameBuf is the storage reused by the activations at one depth.
+type frameBuf struct {
+	env   []Value
+	saved []bool
 }
 
 // Option configures a Machine.
@@ -97,8 +130,8 @@ func WithObserver(o *obs.Observer) Option {
 		m.obs = o
 		o.Clock = func() (int64, int64) { return m.Steps, m.Steps }
 		o.ProcName = func(pc int) string {
-			if v, ok := m.handles[uint64(pc)]; ok && (v.Kind == KCode || v.Kind == KForeign) {
-				return v.Name
+			if v := m.valueOfWord(uint64(pc)); v.Kind == KCode || v.Kind == KForeign {
+				return v.name
 			}
 			return ""
 		}
@@ -139,34 +172,23 @@ func (m *Machine) emitCtl(k obs.Kind, sp, a, b uint64) {
 // global registers.
 func New(prog *cfg.Program, opts ...Option) (*Machine, error) {
 	m := &Machine{
-		Prog:        prog,
-		globals:     make([]Value, len(prog.Globals)),
-		Foreign:     map[string]ForeignFunc{},
-		procVals:    map[string]Value{},
-		handles:     map[uint64]Value{},
-		contHandles: map[contKey]uint64{},
-		nextContH:   contBase,
-		graphOf:     map[*cfg.Node]*cfg.Graph{},
-		nextUID:     1,
+		Prog:      prog,
+		globals:   make([]Value, len(prog.Globals)),
+		Foreign:   map[string]ForeignFunc{},
+		procVals:  map[string]Value{},
+		nextContH: contBase,
+		nextUID:   1,
 	}
 	for i, name := range prog.Order {
-		g := prog.Graphs[name]
-		v := Value{Kind: KCode, Bits: procBase + uint64(16*i), Node: g.Entry, Name: name}
-		m.procVals[name] = v
-		m.handles[v.Bits] = v
-		for _, n := range g.AllNodes() {
-			m.graphOf[n] = g
-		}
+		m.procVals[name] = Value{Kind: KCode, Bits: procBase + uint64(16*i)}
+		m.graphs = append(m.graphs, prog.Graphs[name])
 	}
-	fi := 0
 	for _, imp := range prog.Imports {
 		if _, isProc := m.procVals[imp]; isProc {
 			continue
 		}
-		v := Value{Kind: KForeign, Bits: foreignBase + uint64(16*fi), Name: imp}
-		fi++
-		m.procVals[imp] = v
-		m.handles[v.Bits] = v
+		m.procVals[imp] = Value{Kind: KForeign, Bits: foreignBase + uint64(16*len(m.foreign))}
+		m.foreign = append(m.foreign, imp)
 	}
 	img, err := cfg.BuildImage(prog, func(name string) (uint64, bool) {
 		if v, ok := m.procVals[name]; ok {
@@ -200,26 +222,56 @@ func (m *Machine) ProcValue(name string) (Value, bool) {
 	return v, ok
 }
 
-// ContHandle interns Cont(node, uid) and returns its handle value.
-func (m *Machine) contValue(node *cfg.Node, uid int) Value {
-	key := contKey{node, uid}
-	h, ok := m.contHandles[key]
-	if !ok {
-		h = m.nextContH
-		m.nextContH += 16
-		m.contHandles[key] = h
-		m.handles[h] = Value{Kind: KCont, Bits: h, Node: node, UID: uid}
+// valueOfWord recovers the rich value a word denotes: a handle resolves
+// to its code or continuation value; anything else is bits. Procedure i's
+// handle is procBase+16*i and import i's foreignBase+16*i, so both
+// resolve by arithmetic; continuation handles resolve through contOf.
+func (m *Machine) valueOfWord(w uint64) rich {
+	switch {
+	case w >= contBase:
+		if v, ok := m.contOf(w); ok {
+			return v
+		}
+	case w >= foreignBase:
+		if i := (w - foreignBase) / 16; w%16 == 0 && i < uint64(len(m.foreign)) {
+			return rich{Value: Value{Kind: KForeign, Bits: w}, name: m.foreign[i]}
+		}
+	case w >= procBase:
+		if i := (w - procBase) / 16; w%16 == 0 && i < uint64(len(m.graphs)) {
+			g := m.graphs[i]
+			return rich{Value: Value{Kind: KCode, Bits: w}, node: g.Entry, graph: g, name: m.Prog.Order[i]}
+		}
 	}
-	return m.handles[h]
+	return rich{Value: Word(w)}
 }
 
-// valueOfWord recovers the rich value a word denotes: a registered handle
-// resolves to its code or continuation value; anything else is bits.
-func (m *Machine) valueOfWord(w uint64) Value {
-	if v, ok := m.handles[w]; ok {
-		return v
+// contOf resolves a word in the continuation range: a label, a
+// continuation of an activation of this run (found by binary search on
+// conts, whose bases ascend), or a continuation of an earlier run, whose
+// activation is no longer known. A word never handed out is not a handle.
+func (m *Machine) contOf(w uint64) (rich, bool) {
+	if w >= m.nextContH || (w-contBase)%16 != 0 {
+		return rich{}, false
 	}
-	return Word(w)
+	v := rich{Value: Value{Kind: KCont, Bits: w}}
+	for _, l := range m.labels {
+		if l.word == w {
+			v.node = l.node
+			return v, true
+		}
+	}
+	if i := sort.Search(len(m.conts), func(i int) bool { return m.conts[i].base > w }) - 1; i >= 0 {
+		c := m.conts[i]
+		if k := (w - c.base) / 16; k < uint64(len(c.entry.Conts)) {
+			v.node, v.uid = c.entry.Conts[k].Node, c.uid
+			return v, true
+		}
+	}
+	if w < m.runFirstH {
+		v.uid = staleUID
+		return v, true
+	}
+	return rich{}, false
 }
 
 func (m *Machine) wrongf(format string, args ...any) error {
@@ -230,19 +282,23 @@ func (m *Machine) wrongf(format string, args ...any) error {
 // machine terminates normally, returning the values it returned. A
 // non-nil error means the program went wrong (§5.2) or exceeded MaxSteps.
 func (m *Machine) Run(proc string, args ...uint64) ([]Value, error) {
-	v, ok := m.procVals[proc]
-	if !ok || v.Kind != KCode {
+	pv, ok := m.procVals[proc]
+	if !ok || pv.Kind != KCode {
 		return nil, fmt.Errorf("no procedure %s", proc)
 	}
-	m.ctrl = v.Node
-	m.cur = m.graphOf[v.Node]
+	v := m.valueOfWord(pv.Bits)
+	m.ctrl = v.node
+	m.cur = v.graph
 	m.env, m.saved = nil, nil
 	m.uid = m.freshUID()
-	m.A = make([]Value, len(args))
-	for i, a := range args {
-		m.A[i] = Word(a)
+	m.abuf = m.abuf[:0]
+	for _, a := range args {
+		m.abuf = append(m.abuf, Word(a))
 	}
-	m.stack = nil
+	m.A = m.abuf
+	m.stack = m.stack[:0]
+	m.conts = m.conts[:0]
+	m.runFirstH = m.nextContH
 	m.halted = false
 	m.results = nil
 	m.runStart = m.Steps
@@ -252,7 +308,10 @@ func (m *Machine) Run(proc string, args ...uint64) ([]Value, error) {
 			return nil, err
 		}
 	}
-	return m.results, nil
+	// The results sit in a buffer the next run reuses: copy them out.
+	out := make([]Value, len(m.results))
+	copy(out, m.results)
+	return out, nil
 }
 
 func (m *Machine) freshUID() int {
@@ -270,14 +329,25 @@ func (m *Machine) Step() error {
 	switch n.Kind {
 	case cfg.KindEntry:
 		// Entry binds the procedure's continuations into an empty
-		// environment; the incoming environment is discarded.
-		nl := len(m.cur.Locals)
-		env := make([]Value, nl+len(n.Conts))
+		// environment; the incoming environment is discarded. Each
+		// continuation gets the next handle, and the activation's
+		// handles are recorded so that valueOfWord can find it.
+		nl, fb := len(m.cur.Locals), m.frame()
+		need := nl + len(n.Conts)
+		if cap(fb.env) < need {
+			fb.env = make([]Value, need)
+		}
+		env := fb.env[:need]
 		for i := range nl {
 			env[i] = unset
 		}
-		for i, cb := range n.Conts {
-			env[nl+i] = m.contValue(cb.Node, m.uid)
+		if len(n.Conts) > 0 {
+			base := m.nextContH
+			m.nextContH += 16 * uint64(len(n.Conts))
+			m.conts = append(m.conts, contEntry{base: base, uid: m.uid, entry: n})
+			for i := range n.Conts {
+				env[nl+i] = Value{Kind: KCont, Bits: base + 16*uint64(i)}
+			}
 		}
 		m.env, m.saved = env, nil
 		m.ctrl = n.Succ[0]
@@ -297,23 +367,29 @@ func (m *Machine) Step() error {
 		return nil
 
 	case cfg.KindCopyOut:
-		vals := make([]Value, len(n.Exprs))
-		for i, e := range n.Exprs {
+		vals := m.abuf[:0]
+		for _, e := range n.Exprs {
 			v, err := m.eval(e)
 			if err != nil {
 				return err
 			}
-			vals[i] = v
+			vals = append(vals, v)
 		}
-		m.A = vals
+		m.abuf, m.A = vals, vals
 		m.ctrl = n.Succ[0]
 		return nil
 
 	case cfg.KindCalleeSaves:
-		m.saved = make([]bool, len(m.cur.Locals))
-		for _, v := range n.Saved {
-			m.saved[v.Slot] = true
+		nl, fb := len(m.cur.Locals), m.frame()
+		if cap(fb.saved) < nl {
+			fb.saved = make([]bool, nl)
 		}
+		saved := fb.saved[:nl]
+		clear(saved)
+		for _, v := range n.Saved {
+			saved[v.Slot] = true
+		}
+		m.saved = saved
 		m.ctrl = n.Succ[0]
 		return nil
 
@@ -358,7 +434,7 @@ func (m *Machine) Step() error {
 		}
 		// A computed goto must transfer to one of its declared targets.
 		for _, s := range n.Succ {
-			if lbl, ok := m.labelAddr(s); ok && lbl == v.Bits {
+			if m.labelAddr(s) == v.Bits {
 				m.ctrl = s
 				return nil
 			}
@@ -376,11 +452,11 @@ func (m *Machine) Step() error {
 		return m.jump(callee)
 
 	case cfg.KindCutTo:
-		target, err := m.eval(n.Callee)
+		w, err := m.eval(n.Callee)
 		if err != nil {
 			return err
 		}
-		target = m.valueOfWord(target.Bits)
+		target := m.valueOfWord(w.Bits)
 		if target.Kind != KCont {
 			return m.wrongf("cut to a value that is not a continuation (%s)", target)
 		}
@@ -395,14 +471,31 @@ func (m *Machine) Step() error {
 	return m.wrongf("no transition for node kind %s", n.Kind)
 }
 
+// frame returns the buffers of the running activation's depth.
+func (m *Machine) frame() *frameBuf {
+	d := len(m.stack)
+	for len(m.bufs) <= d {
+		m.bufs = append(m.bufs, frameBuf{})
+	}
+	return &m.bufs[d]
+}
+
 // labelAddr gives a stable word for a label node used as a computed-goto
 // target. Labels are values (§3.2); we use the node's interned handle.
-func (m *Machine) labelAddr(n *cfg.Node) (uint64, bool) {
+func (m *Machine) labelAddr(n *cfg.Node) uint64 {
 	// Label values arise only from computed gotos, which our checker
 	// restricts to label names resolved within the procedure. We intern
-	// them as continuation-style handles with uid 0.
-	v := m.contValue(n, 0)
-	return v.Bits, true
+	// them as continuation-style handles with uid 0, drawn from the same
+	// counter as continuations; the table is bounded by the labels.
+	for _, l := range m.labels {
+		if l.node == n {
+			return l.word
+		}
+	}
+	w := m.nextContH
+	m.nextContH += 16
+	m.labels = append(m.labels, labelHandle{word: w, node: n})
+	return w
 }
 
 func (m *Machine) call(n *cfg.Node) error {
@@ -419,11 +512,11 @@ func (m *Machine) call(n *cfg.Node) error {
 		m.uid = m.freshUID()
 		return nil
 	}
-	callee, err := m.eval(n.Callee)
+	w, err := m.eval(n.Callee)
 	if err != nil {
 		return err
 	}
-	callee = m.valueOfWord(callee.Bits)
+	callee := m.valueOfWord(w.Bits)
 	switch callee.Kind {
 	case KCode:
 		m.stack = append(m.stack, Frame{
@@ -431,15 +524,15 @@ func (m *Machine) call(n *cfg.Node) error {
 			Graph: m.cur, Site: n,
 		})
 		m.emitCtl(obs.KCall, m.semSP(len(m.stack)), callee.Bits, 0)
-		m.ctrl = callee.Node
-		m.cur = m.graphOf[callee.Node]
+		m.ctrl = callee.node
+		m.cur = callee.graph
 		m.env, m.saved = nil, nil
 		m.uid = m.freshUID()
 		return nil
 	case KForeign:
-		f, ok := m.Foreign[callee.Name]
+		f, ok := m.Foreign[callee.name]
 		if !ok {
-			return m.wrongf("imported procedure %s has no implementation", callee.Name)
+			return m.wrongf("imported procedure %s has no implementation", callee.name)
 		}
 		m.emitCtl(obs.KForeign, m.semSP(len(m.stack)), callee.Bits, 0)
 		results, err := f(m, m.A)
@@ -455,23 +548,23 @@ func (m *Machine) call(n *cfg.Node) error {
 	return m.wrongf("called a value that is not code (%s)", callee)
 }
 
-func (m *Machine) jump(callee Value) error {
-	callee = m.valueOfWord(callee.Bits)
+func (m *Machine) jump(w Value) error {
+	callee := m.valueOfWord(w.Bits)
 	switch callee.Kind {
 	case KCode:
 		// A tail call replaces the running activation: the event carries
 		// the same synthetic sp, so the observer's pop rule collapses both
 		// when the callee eventually returns.
 		m.emitCtl(obs.KCall, m.semSP(len(m.stack)), callee.Bits, 0)
-		m.ctrl = callee.Node
-		m.cur = m.graphOf[callee.Node]
+		m.ctrl = callee.node
+		m.cur = callee.graph
 		m.env, m.saved = nil, nil
 		m.uid = m.freshUID()
 		return nil
 	case KForeign:
-		f, ok := m.Foreign[callee.Name]
+		f, ok := m.Foreign[callee.name]
 		if !ok {
-			return m.wrongf("imported procedure %s has no implementation", callee.Name)
+			return m.wrongf("imported procedure %s has no implementation", callee.name)
 		}
 		m.emitCtl(obs.KForeign, m.semSP(len(m.stack)), callee.Bits, 0)
 		results, err := f(m, m.A)
@@ -529,24 +622,27 @@ func (m *Machine) returnTo(j, n int) error {
 // transfer without restoring callee-saves registers. ownBundle is the cut
 // site's own bundle, used when cutting to a continuation of the current
 // activation.
-func (m *Machine) cutTo(target Value, ownBundle *cfg.Bundle) error {
-	if target.UID == m.uid {
+func (m *Machine) cutTo(target rich, ownBundle *cfg.Bundle) error {
+	if target.uid == m.uid {
 		// Cut to a continuation in the same procedure: legal only when
 		// the cut site names it in also cuts to.
-		if ownBundle == nil || !containsNode(ownBundle.Cuts, target.Node) {
+		if ownBundle == nil || !containsNode(ownBundle.Cuts, target.node) {
 			return m.wrongf("cut to continuation in the same activation without also cuts to")
 		}
 		m.emitCtl(obs.KCutTo, m.semSP(len(m.stack)+1), target.Bits, 0)
-		m.ctrl = target.Node
+		m.ctrl = target.node
 		return nil
 	}
 	for {
 		if len(m.stack) == 0 {
-			return m.wrongf("cut to dead continuation (uid %d not on the stack)", target.UID)
+			if target.uid == staleUID {
+				return m.wrongf("cut to dead continuation (made by an earlier run)")
+			}
+			return m.wrongf("cut to dead continuation (uid %d not on the stack)", target.uid)
 		}
 		fr := m.stack[len(m.stack)-1]
-		if fr.UID == target.UID {
-			if !containsNode(fr.Bundle.Cuts, target.Node) {
+		if fr.UID == target.uid {
+			if !containsNode(fr.Bundle.Cuts, target.node) {
 				return m.wrongf("cut to continuation not listed in the suspended call's also cuts to")
 			}
 			m.stack = m.stack[:len(m.stack)-1]
@@ -558,7 +654,7 @@ func (m *Machine) cutTo(target Value, ownBundle *cfg.Bundle) error {
 					fr.Env[s] = unset
 				}
 			}
-			m.ctrl = target.Node
+			m.ctrl = target.node
 			m.env = fr.Env
 			m.saved = nil
 			m.uid = fr.UID
@@ -588,7 +684,7 @@ func (m *Machine) yield() error {
 	if m.RTS == nil {
 		return m.wrongf("yield with no run-time system installed")
 	}
-	m.pending = newResumption()
+	m.pending = m.newPending()
 	args := m.A
 	var tag uint64
 	if len(args) > 0 {

@@ -1,6 +1,7 @@
 package sem
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -513,6 +514,70 @@ boom() {
 	_, err := m.Run("boom")
 	if err == nil || !strings.Contains(err.Error(), "dead continuation") {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestStaleContinuationFromEarlierRunGoesWrong parks a continuation in a
+// global during one run and cuts to it in the next run on the same
+// machine, once with cut to and once through SetCutToCont. The handle
+// outlived its activation, so both must go wrong as a dead continuation,
+// not be mistaken for a plain word or for a live continuation.
+func TestStaleContinuationFromEarlierRunGoesWrong(t *testing.T) {
+	src := `
+bits32 savedk;
+park() {
+    savedk = k;
+    return ();
+continuation k:
+    return ();
+}
+viaCut() {
+    inner() also aborts;
+    return ();
+}
+inner() {
+    bits32 kv;
+    kv = savedk;
+    cut to kv() also aborts;
+}
+viaRuntime() {
+    yield(0) also aborts;
+    return ();
+}
+`
+	rts := RuntimeFunc(func(m *Machine, args []Value) error {
+		k, _ := m.GlobalWord("savedk")
+		if err := m.SetCutToCont(k); err != nil {
+			return err
+		}
+		return m.Resume()
+	})
+	for _, proc := range []string{"viaCut", "viaRuntime"} {
+		m := newMachine(t, src, WithRuntime(rts))
+		if _, err := m.Run("park"); err != nil {
+			t.Fatal(err)
+		}
+		_, err := m.Run(proc)
+		var w *Wrong
+		if !errors.As(err, &w) || !strings.Contains(w.Msg, "dead continuation") {
+			t.Errorf("%s: err = %v, want a dead-continuation Wrong", proc, err)
+		}
+	}
+}
+
+// TestResultsOutliveNextRun checks that the slice Run returns belongs to
+// the caller: a later run on the same machine must not overwrite it.
+func TestResultsOutliveNextRun(t *testing.T) {
+	m := newMachine(t, paper.Figure1)
+	first, err := m.Run("sp3", 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Run("sp1", 7); err != nil {
+		t.Fatal(err)
+	}
+	if len(first) != 2 || first[0].Bits != 15 || first[1].Bits != 120 {
+		t.Errorf("first run's results became %v after a second run, want [15 120]", first)
 	}
 }
 

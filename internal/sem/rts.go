@@ -18,11 +18,24 @@ import (
 // will receive.
 
 // Activation is a handle on one activation of the suspended C-- thread
-// (the paper's "activation" abstraction). Index 0 is the activation an
-// initial FirstActivation yields; Next moves toward older activations.
-type Activation struct {
+// (the paper's "activation" abstraction). FirstActivation yields the
+// topmost one; Next moves toward older activations. It is one pointer,
+// to a record the machine reuses, so a run-time system can walk a deep
+// stack through an interface without allocating; it is valid only during
+// the yield that produced it.
+type Activation struct{ r *actRec }
+
+type actRec struct {
 	m     *Machine
 	index int // index into m.stack; len(stack)-1 is the topmost frame
+}
+
+// activation returns the record for stack index i.
+func (m *Machine) activation(i int) Activation {
+	for len(m.acts) < len(m.stack) {
+		m.acts = append(m.acts, actRec{m: m, index: len(m.acts)})
+	}
+	return Activation{&m.acts[i]}
 }
 
 // resumption records what the run-time system arranged during a yield.
@@ -37,8 +50,11 @@ type resumption struct {
 	params    []Value
 }
 
-func newResumption() *resumption {
-	return &resumption{target: -1, unwindIdx: -1, returnIdx: -1}
+// newPending resets the machine's one resumption record, keeping its
+// parameter buffer, and returns it.
+func (m *Machine) newPending() *resumption {
+	m.res = resumption{target: -1, unwindIdx: -1, returnIdx: -1, params: m.res.params[:0]}
+	return &m.res
 }
 
 // FirstActivation returns the topmost suspended activation ("currently
@@ -48,22 +64,23 @@ func (m *Machine) FirstActivation() (Activation, bool) {
 	if len(m.stack) == 0 {
 		return Activation{}, false
 	}
-	return Activation{m: m, index: len(m.stack) - 1}, true
+	return m.activation(len(m.stack) - 1), true
 }
 
 // NextActivation mutates a to point at the activation to which a will
 // return (normally a's caller). ok is false at the bottom of the stack.
 func (a Activation) NextActivation() (Activation, bool) {
-	if a.index == 0 {
+	r := a.r
+	if r.index == 0 {
 		return Activation{}, false
 	}
-	a.m.emitObs(obs.KUnwindStep, uint64(len(a.m.stack)-a.index), 0)
-	return Activation{m: a.m, index: a.index - 1}, true
+	r.m.emitObs(obs.KUnwindStep, uint64(len(r.m.stack)-r.index), 0)
+	return r.m.activation(r.index - 1), true
 }
 
 // ProcName reports the name of the procedure whose activation this is.
 func (a Activation) ProcName() string {
-	fr := a.m.stack[a.index]
+	fr := a.r.m.stack[a.r.index]
 	if fr.Graph != nil {
 		return fr.Graph.Name
 	}
@@ -73,19 +90,19 @@ func (a Activation) ProcName() string {
 // DescriptorCount reports how many descriptors the front end deposited at
 // the suspended call site.
 func (a Activation) DescriptorCount() int {
-	return len(a.m.stack[a.index].Bundle.Descriptors)
+	return len(a.r.m.stack[a.r.index].Bundle.Descriptors)
 }
 
 // GetDescriptor returns the n'th descriptor associated with the
 // activation's suspended call site: the address (or constant) the front
 // end attached. ok is false when there is no n'th descriptor.
 func (a Activation) GetDescriptor(n int) (uint64, bool) {
-	a.m.emitObs(obs.KDescLookup, uint64(n), 0)
-	b := a.m.stack[a.index].Bundle
+	a.r.m.emitObs(obs.KDescLookup, uint64(n), 0)
+	b := a.r.m.stack[a.r.index].Bundle
 	if n < 0 || n >= len(b.Descriptors) {
 		return 0, false
 	}
-	v, err := a.m.evalStatic(b.Descriptors[n])
+	v, err := a.r.m.evalStatic(b.Descriptors[n])
 	if err != nil {
 		return 0, false
 	}
@@ -95,7 +112,7 @@ func (a Activation) GetDescriptor(n int) (uint64, bool) {
 // UnwindContCount reports how many continuations the suspended call site
 // lists in also unwinds to.
 func (a Activation) UnwindContCount() int {
-	return len(a.m.stack[a.index].Bundle.Unwinds)
+	return len(a.r.m.stack[a.r.index].Bundle.Unwinds)
 }
 
 // evalStatic evaluates a descriptor expression, which the checker
@@ -126,9 +143,9 @@ func (m *Machine) evalStatic(e syntax.Expr) (uint64, error) {
 // activation a: every younger activation is discarded when Resume runs.
 func (m *Machine) SetActivation(a Activation) {
 	if m.pending == nil {
-		m.pending = newResumption()
+		m.pending = m.newPending()
 	}
-	m.pending.target = a.index
+	m.pending.target = a.r.index
 	m.pending.haveT = true
 }
 
@@ -137,7 +154,7 @@ func (m *Machine) SetActivation(a Activation) {
 // the chosen activation is suspended.
 func (m *Machine) SetUnwindCont(n int) {
 	if m.pending == nil {
-		m.pending = newResumption()
+		m.pending = m.newPending()
 	}
 	m.pending.unwindIdx = n
 	m.pending.returnIdx = -1
@@ -147,7 +164,7 @@ func (m *Machine) SetUnwindCont(n int) {
 // n of the chosen activation's call site (the normal return is the last).
 func (m *Machine) SetReturnCont(n int) {
 	if m.pending == nil {
-		m.pending = newResumption()
+		m.pending = m.newPending()
 	}
 	m.pending.returnIdx = n
 	m.pending.unwindIdx = -1
@@ -158,7 +175,7 @@ func (m *Machine) SetReturnCont(n int) {
 // (the FindContParam operation of Table 1, fused with the store).
 func (m *Machine) SetContParam(n int, v uint64) {
 	if m.pending == nil {
-		m.pending = newResumption()
+		m.pending = m.newPending()
 	}
 	for len(m.pending.params) <= n {
 		m.pending.params = append(m.pending.params, Word(0))
@@ -172,7 +189,7 @@ func (m *Machine) SetContParam(n int, v uint64) {
 // third Yield rule.
 func (m *Machine) SetCutToCont(k uint64) error {
 	if m.pending == nil {
-		m.pending = newResumption()
+		m.pending = m.newPending()
 	}
 	target := m.valueOfWord(k)
 	if target.Kind != KCont {
@@ -278,14 +295,17 @@ func (m *Machine) resumeCut(p *resumption) error {
 		return m.wrongf("SetCutToCont with an empty stack")
 	}
 	// The continuation expects exactly as many parameters as its CopyIn
-	// names.
-	want := len(target.Node.Vars)
+	// names. A continuation of an earlier run has no known node; cutTo
+	// reports it dead.
 	params := p.params
-	for len(params) < want {
-		params = append(params, Word(0))
-	}
-	if len(params) != want {
-		return m.wrongf("continuation expects %d parameters, run-time system supplied %d", want, len(params))
+	if target.node != nil {
+		want := len(target.node.Vars)
+		for len(params) < want {
+			params = append(params, Word(0))
+		}
+		if len(params) != want {
+			return m.wrongf("continuation expects %d parameters, run-time system supplied %d", want, len(params))
+		}
 	}
 	yf := m.stack[len(m.stack)-1]
 	m.stack = m.stack[:len(m.stack)-1]
@@ -330,7 +350,3 @@ func (m *Machine) SetGlobalWord(name string, v uint64) {
 		}
 	}
 }
-
-// ContValueFor exposes the continuation value Cont(node, uid) interning
-// for tests that need to fabricate continuation words.
-func (m *Machine) ContValueFor(node *cfg.Node, uid int) Value { return m.contValue(node, uid) }
