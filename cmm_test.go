@@ -153,14 +153,25 @@ func TestDumps(t *testing.T) {
 	}
 }
 
+// TestForeignFacade: a foreign procedure runs under both engines, also
+// when called through a data table. Both engines resolve names as the
+// checker did: an import that a data label shadows reads as the label,
+// and a tail call through a local named like a procedure goes where the
+// local points.
 func TestForeignFacade(t *testing.T) {
 	mod, err := cmm.Load(`
-import host;
+import d1, host, f, host;
+section "data" { d1: bits32 7; tbl: bits32 f, host; }
 f(bits32 x) {
-    bits32 r;
+    bits32 r, h, g;
     r = host(x);
-    return (r);
+    h = bits32[tbl + 4];
+    r = h(r);
+    g = k;
+    jump g(r + bits32[d1]);
 }
+g(bits32 x) { return (x + 1); }
+k(bits32 x) { return (x + 2); }
 `)
 	if err != nil {
 		t.Fatal(err)
@@ -184,7 +195,7 @@ f(bits32 x) {
 			runFn = mach.Run
 		}
 		res, err := runFn("f", 1)
-		if err != nil || res[0] != 101 {
+		if err != nil || res[0] != 210 {
 			t.Errorf("%s: f(1) = %v (%v)", target, res, err)
 		}
 	}

@@ -10,13 +10,14 @@ import (
 // The fuzz targets hold the front end to its contract: any input ends in
 // a module or in diagnostics, never in a panic or a hang. Their corpora,
 // under testdata/fuzz, hold the documentation examples, Figure 1, the
-// verifier's test programs, the MiniM3 game and every input that once
-// crashed; plain go test replays them. Run one with, for example,
+// verifier's test programs, the MiniM3 game, programs that exercise the
+// procedure and import tables, and every input that once crashed; plain
+// go test replays them. Run one with, for example,
 //
 //	go test -run '^$' -fuzz '^FuzzLoad$' -fuzztime 20s .
 
-// FuzzLoad compiles C-- source through verification, -O2 and code
-// generation.
+// FuzzLoad compiles C-- source through verification, the §5
+// interpreter's image and foreign table, -O2 and code generation.
 func FuzzLoad(f *testing.F) {
 	f.Fuzz(func(t *testing.T, src string) {
 		mod, err := cmm.Load(src)
@@ -25,6 +26,9 @@ func FuzzLoad(f *testing.F) {
 			return
 		}
 		mod.Verify(true)
+		if _, err := mod.Interp(); err != nil {
+			checkDiagnostics(t, err)
+		}
 		if _, err := mod.ApplyOpt(2); err != nil {
 			t.Fatal(err)
 		}

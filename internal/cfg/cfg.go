@@ -296,15 +296,19 @@ type GlobalVar struct {
 	Init uint64 // raw bits of the initial value
 }
 
-// Program is an Abstract C-- program: named graphs plus the static
-// environment they run in.
+// Program is an Abstract C-- program: its graphs plus the static
+// environment they run in. A procedure's slot indexes Procs and Order,
+// an import's slot Foreign; every procedure and import reference
+// carries its slot (syntax.VarExpr.Slot).
 type Program struct {
-	Graphs  map[string]*Graph
-	Order   []string // graph names in source order (synthesized last)
+	Procs   []*Graph // graphs in source order, synthesized last
+	Order   []string // Procs' names
 	Globals []GlobalVar
 	Data    []*syntax.DataSection
 	Exports []string
-	Imports []string
+	// Foreign is the foreign table: the imports that name no procedure,
+	// each once, in source order (check.Info.Foreign).
+	Foreign []string
 
 	// YieldNode is the single Yield node shared by the whole program: the
 	// "procedure in the run-time system" that yield calls execute.
@@ -313,8 +317,23 @@ type Program struct {
 	Source *syntax.Program
 }
 
+// Slot returns the slot of the named procedure, or -1.
+func (p *Program) Slot(name string) int {
+	for i, n := range p.Order {
+		if n == name {
+			return i
+		}
+	}
+	return -1
+}
+
 // Graph returns the named graph, or nil.
-func (p *Program) Graph(name string) *Graph { return p.Graphs[name] }
+func (p *Program) Graph(name string) *Graph {
+	if i := p.Slot(name); i >= 0 {
+		return p.Procs[i]
+	}
+	return nil
+}
 
 // YieldCode values passed by synthesized slow-but-solid primitives when
 // they fail (§4.3).

@@ -575,7 +575,10 @@ func TestFigure8And10Build(t *testing.T) {
 
 // TestSlotsFollowNameOrder: translate sorts every graph's locals by
 // name, temporaries included, and every reference to a local or a
-// continuation carries the index of its name in the slot table.
+// continuation carries the index of its name in the slot table. A
+// procedure reference carries its procedure's slot, synthesized
+// slow-but-solid primitives included, and an import its slot in the
+// foreign table.
 func TestSlotsFollowNameOrder(t *testing.T) {
 	for _, src := range []string{paper.Figure1, paper.Fig2Cut, paper.Fig2RuntimeUnwind, `
 bits32 g;
@@ -589,16 +592,30 @@ continuation k(m):
     return (m);
 }
 h(bits32 c) { return (c, c, c); }
+`, `
+import put, f, put, out;
+section "data" { out: bits32 0; tbl: bits32 f, put; }
+f(bits32 x) {
+    bits32 q, r;
+    q = %%divu(x, 2) also aborts;
+    r = %%remu(x, 3) also aborts;
+    put(q, r, tbl, out);
+    jump g(q);
+}
+g(bits32 y) { return (y); }
 `} {
 		p := build(t, src)
-		for _, name := range p.Order {
-			checkSlots(t, p.Graph(name))
+		for _, g := range p.Procs {
+			checkSlots(t, p, g)
 		}
 	}
 }
 
-func checkSlots(t *testing.T, g *Graph) {
+func checkSlots(t *testing.T, p *Program, g *Graph) {
 	t.Helper()
+	if p.Procs[p.Slot(g.Name)] != g || p.Order[p.Slot(g.Name)] != g.Name {
+		t.Errorf("%s is not in its own slot", g.Name)
+	}
 	for i := 1; i < len(g.Locals); i++ {
 		if g.Locals[i-1].Name >= g.Locals[i].Name {
 			t.Errorf("%s: locals out of name order: %v", g.Name, g.Locals)
@@ -607,7 +624,9 @@ func checkSlots(t *testing.T, g *Graph) {
 	check := func(v *syntax.VarExpr) {
 		switch {
 		case v.Ref == syntax.RefLocal && g.Locals[v.Slot].Name != v.Name,
-			v.Ref == syntax.RefCont && g.Entry.Conts[v.Slot].Name != v.Name:
+			v.Ref == syntax.RefCont && g.Entry.Conts[v.Slot].Name != v.Name,
+			v.Ref == syntax.RefProc && (p.Order[v.Slot] != v.Name || p.Procs[v.Slot].Name != v.Name),
+			v.Ref == syntax.RefImport && p.Foreign[v.Slot] != v.Name:
 			t.Errorf("%s: %s %s has slot %d", g.Name, v.Ref, v.Name, v.Slot)
 		case v.Ref == syntax.RefNone:
 			t.Errorf("%s: %s is unresolved", g.Name, v.Name)

@@ -30,10 +30,9 @@ func imageFile(p *Program) string {
 }
 
 // BuildImage lays out the program's data sections and interned strings.
-// resolve supplies values for names appearing in data initializers that
-// are not data labels (for example procedure names); it may be nil if no
-// such names occur.
-func BuildImage(p *Program, resolve func(name string) (uint64, bool)) (*Image, error) {
+// resolve supplies values for the procedure and import references in
+// data initializers, by Ref and Slot; it may be nil if none occur.
+func BuildImage(p *Program, resolve func(v *syntax.VarExpr) (uint64, bool)) (*Image, error) {
 	img := &Image{
 		Base:    ImageBase,
 		Labels:  map[string]uint64{},
@@ -82,16 +81,16 @@ func BuildImage(p *Program, resolve func(name string) (uint64, bool)) (*Image, e
 	// Second pass: emit bytes.
 	addr = img.Base
 	img.Bytes = nil
-	lookup := func(name string, pos syntax.Pos) (uint64, error) {
-		if a, ok := img.Labels[name]; ok {
+	lookup := func(v *syntax.VarExpr, pos syntax.Pos) (uint64, error) {
+		if a, ok := img.Labels[v.Name]; ok {
 			return a, nil
 		}
-		if resolve != nil {
-			if v, ok := resolve(name); ok {
-				return v, nil
+		if resolve != nil && (v.Ref == syntax.RefProc || v.Ref == syntax.RefImport) {
+			if a, ok := resolve(v); ok {
+				return a, nil
 			}
 		}
-		return 0, syntax.ErrorAt(PassTranslate, imageFile(p), pos, "cannot resolve name %s in data initializer", name)
+		return 0, syntax.ErrorAt(PassTranslate, imageFile(p), pos, "cannot resolve name %s in data initializer", v.Name)
 	}
 	for _, pd := range todo {
 		it := pd.datum
@@ -113,7 +112,7 @@ func BuildImage(p *Program, resolve func(name string) (uint64, bool)) (*Image, e
 			for _, v := range it.Values {
 				var bits uint64
 				if name, ok := v.(*syntax.VarExpr); ok {
-					a, err := lookup(name.Name, it.Pos)
+					a, err := lookup(name, it.Pos)
 					if err != nil {
 						return nil, err
 					}
@@ -133,8 +132,7 @@ func BuildImage(p *Program, resolve func(name string) (uint64, bool)) (*Image, e
 	// Intern every string literal appearing in code.
 	var strs []string
 	seen := map[string]bool{}
-	for _, name := range p.Order {
-		g := p.Graphs[name]
+	for _, g := range p.Procs {
 		for _, n := range g.AllNodes() {
 			WalkNodeExprs(n, func(e syntax.Expr) {
 				if s, ok := e.(*syntax.StrLit); ok && !seen[s.Val] {

@@ -3,9 +3,11 @@ package cfg
 import (
 	"encoding/binary"
 	"testing"
+
+	"cmm/internal/syntax"
 )
 
-func buildImage(t *testing.T, src string, resolve func(string) (uint64, bool)) *Image {
+func buildImage(t *testing.T, src string, resolve func(*syntax.VarExpr) (uint64, bool)) *Image {
 	t.Helper()
 	p := build(t, src)
 	img, err := BuildImage(p, resolve)
@@ -97,8 +99,8 @@ section "d" {
     vtbl: bits32 f;
 }
 f() { return (); }
-`, func(name string) (uint64, bool) {
-		if name == "f" {
+`, func(v *syntax.VarExpr) (uint64, bool) {
+		if v.Ref == syntax.RefProc && v.Slot == 0 {
 			return 0xCAFE, true
 		}
 		return 0, false
@@ -127,8 +129,8 @@ func TestImageLayoutStableAcrossResolvers(t *testing.T) {
 section "d" { a: bits32 f; s: "x"; }
 f() { return (); }
 `
-	img1 := buildImage(t, src, func(string) (uint64, bool) { return 0, true })
-	img2 := buildImage(t, src, func(string) (uint64, bool) { return 0xFFFF, true })
+	img1 := buildImage(t, src, func(*syntax.VarExpr) (uint64, bool) { return 0, true })
+	img2 := buildImage(t, src, func(*syntax.VarExpr) (uint64, bool) { return 0xFFFF, true })
 	if img1.Labels["a"] != img2.Labels["a"] || img1.Strings["x"] != img2.Strings["x"] {
 		t.Fatal("layout depends on resolver values")
 	}

@@ -16,9 +16,8 @@ const PassTranslate = "translate"
 // Build translates a checked C-- program into Abstract C-- (§5.3).
 func Build(src *syntax.Program, info *check.Info) (*Program, error) {
 	p := &Program{
-		Graphs:  map[string]*Graph{},
 		Exports: src.Exports,
-		Imports: src.Imports,
+		Foreign: info.Foreign,
 		Data:    src.Data,
 		Source:  src,
 	}
@@ -36,14 +35,16 @@ func Build(src *syntax.Program, info *check.Info) (*Program, error) {
 		p.Globals = append(p.Globals, GlobalVar{Name: g.Name, Type: g.Type, Init: init})
 	}
 
-	solids := map[string]bool{} // synthesized solid-primitive proc names
+	// solids maps each synthesized solid-primitive procedure to the
+	// callee references that name it; synthesizeSolids sets their slots.
+	solids := map[string][]*syntax.VarExpr{}
 	for _, proc := range src.Procs {
 		b := &builder{prog: p, info: info, solids: solids}
 		g, err := b.buildProc(proc)
 		if err != nil {
 			return nil, err
 		}
-		p.Graphs[proc.Name] = g
+		p.Procs = append(p.Procs, g)
 		p.Order = append(p.Order, proc.Name)
 	}
 
@@ -239,7 +240,7 @@ func SolidName(prim string, width int) string {
 type builder struct {
 	prog   *Program
 	info   *check.Info
-	solids map[string]bool
+	solids map[string][]*syntax.VarExpr
 
 	g       *Graph
 	pi      *check.ProcInfo
@@ -546,8 +547,9 @@ func (b *builder) call(s *syntax.CallStmt, next *Node) (*Node, error) {
 			width = s.Args[0].Type().Width
 		}
 		name := SolidName(s.Solid, width)
-		b.solids[name] = true
-		call.Callee = syntax.NewVar(name, syntax.RefProc, 0, syntax.Word)
+		callee := syntax.NewVar(name, syntax.RefProc, 0, syntax.Word)
+		b.solids[name] = append(b.solids[name], callee)
+		call.Callee = callee
 	} else {
 		call.Callee = s.Callee
 	}
@@ -644,17 +646,13 @@ func (b *builder) checkNoFallthroughIntoContinuation() error {
 // The yield carries "also aborts" so that a dispatcher may unwind past
 // the failed activation; if the run-time system fails to do so, the
 // subsequent %divu has unspecified behavior, exactly as the paper says.
-func synthesizeSolids(p *Program, solids map[string]bool) error {
+// The procedures take the slots after the source's, in name order.
+func synthesizeSolids(p *Program, solids map[string][]*syntax.VarExpr) error {
 	if len(solids) == 0 {
 		return nil
 	}
-	names := make([]string, 0, len(solids))
-	for n := range solids {
-		names = append(names, n)
-	}
-	sort.Strings(names)
 	var sb strings.Builder
-	for _, name := range names {
+	for _, name := range sortedKeys(solids) {
 		var prim string
 		var width int
 		if _, err := fmt.Sscanf(name, ".solid.%s", &prim); err != nil {
@@ -691,12 +689,15 @@ func synthesizeSolids(p *Program, solids map[string]bool) error {
 		return fmt.Errorf("internal error checking synthesized primitives: %w", err)
 	}
 	for _, proc := range src.Procs {
-		b := &builder{prog: p, info: info, solids: map[string]bool{}}
+		b := &builder{prog: p, info: info}
 		g, err := b.buildProc(proc)
 		if err != nil {
 			return err
 		}
-		p.Graphs[proc.Name] = g
+		for _, v := range solids[proc.Name] {
+			v.Slot = len(p.Procs)
+		}
+		p.Procs = append(p.Procs, g)
 		p.Order = append(p.Order, proc.Name)
 	}
 	return nil

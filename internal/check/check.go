@@ -8,6 +8,7 @@
 package check
 
 import (
+	"slices"
 	"sort"
 
 	"cmm/internal/diag"
@@ -15,7 +16,8 @@ import (
 )
 
 // Symbol is a resolved name. Slot is a global's index in the program's
-// globals, in source order.
+// globals and a procedure's in its procedures, both in source order, and
+// an import's index in Info.Foreign.
 type Symbol struct {
 	Kind syntax.Ref
 	Name string
@@ -39,6 +41,9 @@ type Info struct {
 	Program *syntax.Program
 	Globals map[string]*Symbol
 	Procs   map[string]*ProcInfo
+	// Foreign is the foreign table: the imports that name no procedure,
+	// each once, in source order. An import's slot indexes it.
+	Foreign []string
 }
 
 // ErrorList is a list of positioned semantic diagnostics (pass "check").
@@ -127,13 +132,21 @@ func (c *checker) collectGlobals() {
 			c.declareGlobal(it.Pos, &Symbol{Kind: syntax.RefData, Name: it.Label, Type: syntax.Word})
 		}
 	}
-	for _, p := range prog.Procs {
-		c.declareGlobal(p.Pos, &Symbol{Kind: syntax.RefProc, Name: p.Name, Type: syntax.Word})
+	for i, p := range prog.Procs {
+		c.declareGlobal(p.Pos, &Symbol{Kind: syntax.RefProc, Name: p.Name, Type: syntax.Word, Slot: i})
 	}
+	// An import that names a procedure is that procedure; any other
+	// takes the next foreign slot, even when a global or data label of
+	// its name shadows it.
 	for _, im := range prog.Imports {
-		if _, ok := c.info.Globals[im]; !ok {
-			c.info.Globals[im] = &Symbol{Kind: syntax.RefImport, Name: im, Type: syntax.Word}
+		sym, declared := c.info.Globals[im]
+		if declared && sym.Kind == syntax.RefProc || slices.Contains(c.info.Foreign, im) {
+			continue
 		}
+		if !declared {
+			c.info.Globals[im] = &Symbol{Kind: syntax.RefImport, Name: im, Type: syntax.Word, Slot: len(c.info.Foreign)}
+		}
+		c.info.Foreign = append(c.info.Foreign, im)
 	}
 	for _, ex := range prog.Exports {
 		if _, ok := c.info.Globals[ex]; !ok {

@@ -97,12 +97,12 @@ h(bits32 a, bits32 b) { return (a); }
 		{asg.LHS[0].(*syntax.VarExpr), syntax.RefLocal, 0},
 		{sum.X, syntax.RefLocal, 0},
 		{sum.Y, syntax.RefGlobal, 0},
-		{call.Callee, syntax.RefProc, 0},
+		{call.Callee, syntax.RefProc, 1},
 		{call.Args[0], syntax.RefData, 0},
 		{call.Args[1], syntax.RefCont, 0},
 	} {
 		v := c.e.(*syntax.VarExpr)
-		if v.Ref != c.ref || c.ref == syntax.RefGlobal && v.Slot != c.slot || v.Type() != syntax.Word {
+		if v.Ref != c.ref || (c.ref == syntax.RefGlobal || c.ref == syntax.RefProc) && v.Slot != c.slot || v.Type() != syntax.Word {
 			t.Errorf("%s resolved as %s slot %d type %s, want %s", v.Name, v.Ref, v.Slot, v.Type(), c.ref)
 		}
 	}

@@ -155,10 +155,10 @@ func (gen *generator) allocate() error {
 // facts returns the optimization facts for the current procedure, or nil
 // below -O1.
 func (gen *generator) facts() *procFacts {
-	if gen.lay == nil || gen.lay.facts == nil {
+	if gen.lay.facts == nil {
 		return nil
 	}
-	return gen.lay.facts.procs[gen.f.pi.Name]
+	return &gen.lay.facts[gen.f.slot]
 }
 
 // isCutTarget reports whether any continuation of g can be entered by a

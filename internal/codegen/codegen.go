@@ -24,6 +24,7 @@ import (
 	"cmm/internal/cfg"
 	"cmm/internal/dataflow"
 	"cmm/internal/machine"
+	"cmm/internal/syntax"
 )
 
 // Options selects code-generation strategies.
@@ -37,10 +38,6 @@ type Options struct {
 	// frame, approximating "implementations that use no callee-saves
 	// registers" (§2, stack cutting discussion).
 	DisableCalleeSaves bool
-	// LivenessFor supplies a precomputed liveness analysis for the named
-	// procedure (the pipeline's cached analysis). When nil, or when it
-	// returns nil, codegen computes liveness itself.
-	LivenessFor func(name string) *dataflow.Liveness
 	// Opt selects the codegen optimization level. 0 is the baseline
 	// (bit-identical to the pre-optimizer compiler). 1 enables the
 	// summary-driven frame optimizations: precise callee-saves prefixes
@@ -75,14 +72,13 @@ type CallSite struct {
 
 // ProcInfo is the frame descriptor of one compiled procedure.
 type ProcInfo struct {
-	Name        string
-	Entry       int
-	End         int // one past the last instruction
-	FrameSize   int64
-	RAOffset    int64
-	SavedRegs   []SavedReg
-	ContEntries map[string]int   // continuation name -> landing pc
-	ContBlocks  map[string]int64 // continuation name -> frame offset of its (pc,sp) pair
+	Name       string
+	Entry      int
+	End        int // one past the last instruction
+	FrameSize  int64
+	RAOffset   int64
+	SavedRegs  []SavedReg
+	ContBlocks map[string]int64 // continuation name -> frame offset of its (pc,sp) pair
 }
 
 // Program is a fully compiled program ready to load into a machine.
@@ -140,13 +136,13 @@ const wordSlot = 8 // every frame slot is 8 bytes in the simulated machine
 // pipeline) call the phases directly; both paths run the same code, so
 // their output is byte-identical by construction.
 func Compile(src *cfg.Program, opts Options) (*Program, error) {
-	lay, err := NewLayout(src, opts)
+	lay, err := NewLayout(src, opts, nil)
 	if err != nil {
 		return nil, err
 	}
-	chunks := make([]*ProcChunk, len(src.Order))
-	for i, name := range src.Order {
-		if chunks[i], err = lay.EmitProc(name); err != nil {
+	chunks := make([]*ProcChunk, len(src.Procs))
+	for i := range src.Procs {
+		if chunks[i], err = lay.EmitProc(i); err != nil {
 			return nil, err
 		}
 	}
@@ -154,49 +150,46 @@ func Compile(src *cfg.Program, opts Options) (*Program, error) {
 }
 
 // Layout holds the pre-codegen facts every procedure compiles against:
-// data-label and string addresses, global-register addresses, and
-// foreign-import indices. All of it is fixed before any code is emitted
-// and read-only afterwards, so EmitProc calls for different procedures
-// may run concurrently on one Layout.
+// data-label and string addresses, global-register addresses, and each
+// procedure's liveness. A foreign import's index is its slot in
+// src.Foreign. All of it is fixed before any code is emitted and
+// read-only afterwards, so EmitProc calls for different procedures may
+// run concurrently on one Layout.
 type Layout struct {
 	src        *cfg.Program
 	opts       Options
-	fidx       map[string]int
-	foreigns   []string
 	labels     map[string]uint64
 	strings    map[string]uint64
 	globalAddr map[string]uint64
 	globalInit map[string]uint64
 	heapStart  uint64
-	facts      *optFacts // per-procedure -O facts; nil below -O1
+	liveness   []*dataflow.Liveness // by procedure slot
+	facts      []procFacts          // by procedure slot; nil below -O1
 }
 
-// NewLayout computes the data layout of src: the image addresses, the
-// global-register block past it, and foreign indices.
-func NewLayout(src *cfg.Program, opts Options) (*Layout, error) {
+// NewLayout computes the data layout of src: the image addresses and the
+// global-register block past it. live holds each procedure's liveness
+// by slot (the pipeline's cached analysis); when it is nil, NewLayout
+// computes it.
+func NewLayout(src *cfg.Program, opts Options, live []*dataflow.Liveness) (*Layout, error) {
 	lay := &Layout{
 		src:        src,
 		opts:       opts,
-		fidx:       map[string]int{},
 		globalAddr: map[string]uint64{},
 		globalInit: map[string]uint64{},
+		liveness:   live,
 	}
-	// Foreign indices for imports that have no definition.
-	for _, im := range src.Imports {
-		if _, defined := src.Graphs[im]; defined {
-			continue
+	if lay.liveness == nil {
+		lay.liveness = make([]*dataflow.Liveness, len(src.Procs))
+		for i, g := range src.Procs {
+			lay.liveness[i] = dataflow.ComputeLiveness(g)
 		}
-		if _, dup := lay.fidx[im]; dup {
-			continue
-		}
-		lay.fidx[im] = len(lay.foreigns)
-		lay.foreigns = append(lay.foreigns, im)
 	}
 	// Data layout first: label and string addresses are independent of
 	// the values stored, so a dummy resolver gives the final addresses.
 	// The real image (whose initializers may hold code addresses) is
 	// rebuilt by Link.
-	img, err := cfg.BuildImage(src, func(string) (uint64, bool) { return 0, true })
+	img, err := cfg.BuildImage(src, func(*syntax.VarExpr) (uint64, bool) { return 0, true })
 	if err != nil {
 		return nil, err
 	}
@@ -211,7 +204,7 @@ func NewLayout(src *cfg.Program, opts Options) (*Layout, error) {
 	}
 	lay.heapStart = align8(addr)
 	if opts.Opt >= 1 {
-		lay.facts = computeFacts(src, opts)
+		lay.facts = computeFacts(src, opts, lay.liveness)
 	}
 	return lay, nil
 }
@@ -219,31 +212,34 @@ func NewLayout(src *cfg.Program, opts Options) (*Layout, error) {
 // ProcChunk is the relocatable compilation of one procedure: its code
 // with every pc relative to the chunk's own start, the instruction
 // indices whose operands must be shifted when the chunk is placed, and
-// the name-based references only the linker can resolve.
+// the references to other procedures and globals only the linker can
+// resolve.
 type ProcChunk struct {
 	Name  string
 	Code  []machine.Instr
-	Info  *ProcInfo   // Entry 0; End, ContEntries chunk-relative
+	Info  *ProcInfo   // Entry 0; End chunk-relative
 	Sites []*CallSite // RetPC and continuation pcs chunk-relative
 
+	slot   int     // the procedure's slot
 	pcRel  []int   // indices whose Target is a chunk-relative pc
 	liRel  []int   // indices whose Imm is CodeAddr(chunk-relative pc)
 	fixups []fixup // fixProc/fixLIProc/fixGlobalLoad/fixGlobalStore, at chunk-relative
 }
 
-// EmitProc allocates registers and emits relocatable code for one
-// procedure. It only reads the Layout, so distinct procedures may be
-// emitted concurrently.
-func (lay *Layout) EmitProc(name string) (*ProcChunk, error) {
-	gen := &generator{lay: lay, src: lay.src, opts: lay.opts, fidx: lay.fidx,
+// EmitProc allocates registers and emits relocatable code for the
+// procedure in slot. It only reads the Layout, so distinct procedures
+// may be emitted concurrently.
+func (lay *Layout) EmitProc(slot int) (*ProcChunk, error) {
+	gen := &generator{lay: lay, src: lay.src, opts: lay.opts,
 		labels: lay.labels, strings: lay.strings}
-	return gen.compileProc(name)
+	return gen.compileProc(slot)
 }
 
 // Link places chunks in order, shifts their relative pcs, resolves
-// name-based references, and rebuilds the data image with final code
-// addresses. The chunk order determines the code layout; Compile and the
-// pipeline both pass src.Order.
+// references to procedures and globals, and rebuilds the data image with
+// final code addresses. The chunk order determines the code layout;
+// Compile and the pipeline both pass one chunk per procedure, in slot
+// order.
 func (lay *Layout) Link(chunks []*ProcChunk) (*Program, error) {
 	n := 0
 	for _, ch := range chunks {
@@ -254,14 +250,15 @@ func (lay *Layout) Link(chunks []*ProcChunk) (*Program, error) {
 		Procs:      map[string]*ProcInfo{},
 		GlobalAddr: lay.globalAddr,
 		GlobalInit: lay.globalInit,
-		Foreigns:   lay.foreigns,
+		Foreigns:   lay.src.Foreign,
 		HeapStart:  lay.heapStart,
 		Source:     lay.src,
 		Opts:       lay.opts,
 		procAt:     make([]*ProcInfo, n),
 		siteAt:     make([]*CallSite, n),
 	}
-	var nameFixups []fixup
+	var linkFixups []fixup
+	entry := make([]int, len(lay.src.Procs)) // by procedure slot
 	for _, ch := range chunks {
 		base := len(cp.Code)
 		cp.Code = append(cp.Code, ch.Code...)
@@ -275,14 +272,12 @@ func (lay *Layout) Link(chunks []*ProcChunk) (*Program, error) {
 		}
 		for _, fx := range ch.fixups {
 			fx.at += base
-			nameFixups = append(nameFixups, fx)
+			linkFixups = append(linkFixups, fx)
 		}
 		pi := ch.Info
 		pi.Entry += base
 		pi.End += base
-		for cont, pc := range pi.ContEntries {
-			pi.ContEntries[cont] = pc + base
-		}
+		entry[ch.slot] = pi.Entry
 		cp.Procs[ch.Name] = pi
 		for pc := pi.Entry; pc < pi.End; pc++ {
 			cp.procAt[pc] = pi
@@ -303,31 +298,22 @@ func (lay *Layout) Link(chunks []*ProcChunk) (*Program, error) {
 			}
 		}
 	}
-	for _, fx := range nameFixups {
+	for _, fx := range linkFixups {
 		switch fx.kind {
 		case fixProc:
-			if pi, ok := cp.Procs[fx.name]; ok {
-				cp.Code[fx.at].Target = pi.Entry
-			}
+			cp.Code[fx.at].Target = entry[fx.slot]
 		case fixLIProc:
-			if pi, ok := cp.Procs[fx.name]; ok {
-				cp.Code[fx.at].Imm = int64(machine.CodeAddr(pi.Entry))
-			} else if i, ok := lay.fidx[fx.name]; ok {
-				cp.Code[fx.at].Imm = int64(machine.ForeignAddr(i))
-			}
+			cp.Code[fx.at].Imm = int64(machine.CodeAddr(entry[fx.slot]))
 		case fixGlobalLoad, fixGlobalStore:
 			cp.Code[fx.at].Imm = int64(lay.globalAddr[fx.name])
 		}
 	}
 
-	img, err := cfg.BuildImage(lay.src, func(name string) (uint64, bool) {
-		if pi, ok := cp.Procs[name]; ok {
-			return machine.CodeAddr(pi.Entry), true
+	img, err := cfg.BuildImage(lay.src, func(v *syntax.VarExpr) (uint64, bool) {
+		if v.Ref == syntax.RefImport {
+			return machine.ForeignAddr(v.Slot), true
 		}
-		if i, ok := lay.fidx[name]; ok {
-			return machine.ForeignAddr(i), true
-		}
-		return 0, false
+		return machine.CodeAddr(entry[v.Slot]), true
 	})
 	if err != nil {
 		return nil, err
@@ -350,7 +336,7 @@ const (
 	fixNode        fixupKind = iota // Target := pc of node
 	fixProc                         // Target := entry of proc
 	fixLINode                       // Imm := code address of node
-	fixLIProc                       // Imm := code address of proc (or foreign)
+	fixLIProc                       // Imm := code address of proc
 	fixGlobalLoad                   // Imm := address of global register
 	fixGlobalStore                  // Imm := address of global register
 )
@@ -359,16 +345,16 @@ type fixup struct {
 	at   int
 	kind fixupKind
 	node *cfg.Node
-	name string
+	slot int    // fixProc, fixLIProc: the procedure
+	name string // fixGlobalLoad, fixGlobalStore: the global
 }
 
 type generator struct {
 	lay          *Layout
 	src          *cfg.Program
 	opts         Options
-	fidx         map[string]int
 	code         []machine.Instr
-	fixupsGlobal []fixup           // name-based references, resolved by Link
+	fixupsGlobal []fixup           // procedure and global references, resolved by Link
 	pcRel        []int             // instruction indices with chunk-relative Targets
 	liRel        []int             // instruction indices with chunk-relative CodeAddr Imms
 	labels       map[string]uint64 // data label/string layout, known pre-codegen
@@ -385,6 +371,7 @@ type home struct {
 }
 
 type funcState struct {
+	slot     int
 	g        *cfg.Graph
 	pi       *ProcInfo
 	homes    []home // by local slot
@@ -416,32 +403,22 @@ func (gen *generator) errf(n *cfg.Node, format string, args ...any) error {
 	return fmt.Errorf("codegen %s%s: %s", gen.f.pi.Name, where, fmt.Sprintf(format, args...))
 }
 
-// compileProc allocates registers and emits relocatable code for one
-// procedure; every pc in the result is relative to the chunk start.
-func (gen *generator) compileProc(name string) (*ProcChunk, error) {
-	g := gen.src.Graphs[name]
+// compileProc allocates registers and emits relocatable code for the
+// procedure in slot; every pc in the result is relative to the chunk
+// start.
+func (gen *generator) compileProc(slot int) (*ProcChunk, error) {
+	g := gen.src.Procs[slot]
 	pi := &ProcInfo{
-		Name:        name,
-		Entry:       0,
-		ContEntries: map[string]int{},
-		ContBlocks:  map[string]int64{},
+		Name:       g.Name,
+		Entry:      0,
+		ContBlocks: map[string]int64{},
 	}
 	gen.f = &funcState{
-		g:      g,
-		pi:     pi,
-		placed: map[*cfg.Node]int{},
-	}
-	if gen.lay != nil && gen.lay.facts != nil {
-		// NewLayout already ran liveness for the -O facts; reuse it.
-		if pf := gen.lay.facts.procs[name]; pf != nil {
-			gen.f.liveness = pf.liveness
-		}
-	}
-	if gen.f.liveness == nil && gen.opts.LivenessFor != nil {
-		gen.f.liveness = gen.opts.LivenessFor(name)
-	}
-	if gen.f.liveness == nil {
-		gen.f.liveness = dataflow.ComputeLiveness(g)
+		slot:     slot,
+		g:        g,
+		pi:       pi,
+		placed:   map[*cfg.Node]int{},
+		liveness: gen.lay.liveness[slot],
 	}
 
 	if err := gen.allocate(); err != nil {
@@ -468,9 +445,6 @@ func (gen *generator) compileProc(name string) (*ProcChunk, error) {
 		}
 		sites = append(sites, sf.site)
 	}
-	for cont, n := range g.ContMap {
-		pi.ContEntries[cont] = gen.f.placed[n]
-	}
 	// Local jump fixups: resolved to chunk-relative pcs here, shifted to
 	// absolute ones when Link places the chunk.
 	for _, fx := range gen.f.fixups {
@@ -482,15 +456,16 @@ func (gen *generator) compileProc(name string) (*ProcChunk, error) {
 			gen.code[fx.at].Imm = int64(machine.CodeAddr(gen.f.placed[fx.node]))
 			gen.liRel = append(gen.liRel, fx.at)
 		default:
-			// name-based fixups resolved by Link
+			// procedure and global references, resolved by Link
 			gen.fixupsGlobal = append(gen.fixupsGlobal, fx)
 		}
 	}
 	return &ProcChunk{
-		Name:   name,
+		Name:   g.Name,
 		Code:   gen.code,
 		Info:   pi,
 		Sites:  sites,
+		slot:   slot,
 		pcRel:  gen.pcRel,
 		liRel:  gen.liRel,
 		fixups: gen.fixupsGlobal,

@@ -107,19 +107,23 @@ func TestContBlocksMaterialized(t *testing.T) {
 	if !ok {
 		t.Fatal("no continuation block for k")
 	}
-	// The prologue stores the continuation pc and sp at the block.
-	stores := 0
+	// The prologue loads the continuation's linked landing pc, a code
+	// address inside f, and stores it and sp at the block.
+	stores, pcLoads := 0, 0
 	for i := pi.Entry; i < pi.Entry+16 && i < pi.End; i++ {
 		in := cp.Code[i]
 		if in.Op == machine.OpStore && (in.Imm == off || in.Imm == off+8) {
 			stores++
 		}
+		if in.Op == machine.OpLI && in.Sym == "pc of k" {
+			pcLoads++
+			if pc, ok := machine.CodeIndex(uint64(in.Imm)); !ok || pc < pi.Entry || pc >= pi.End {
+				t.Errorf("pc of k is %#x, not a code address in f [%d, %d)", in.Imm, pi.Entry, pi.End)
+			}
+		}
 	}
-	if stores != 2 {
-		t.Errorf("continuation block stores: %d\n%s", stores, machine.DisasmAll(cp.Code[pi.Entry:pi.End]))
-	}
-	if pi.ContEntries["k"] == 0 {
-		t.Error("no continuation entry pc")
+	if stores != 2 || pcLoads != 1 {
+		t.Errorf("continuation block: %d stores, %d pc loads\n%s", stores, pcLoads, machine.DisasmAll(cp.Code[pi.Entry:pi.End]))
 	}
 }
 

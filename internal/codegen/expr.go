@@ -112,16 +112,16 @@ func (gen *generator) evalName(v *syntax.VarExpr, dest machine.Reg) error {
 		return nil
 	case syntax.RefProc:
 		at := gen.emit(machine.Instr{Op: machine.OpLI, Rd: dest, Sym: "proc " + name})
-		gen.f.fixups = append(gen.f.fixups, fixup{at: at, kind: fixLIProc, name: name})
+		gen.f.fixups = append(gen.f.fixups, fixup{at: at, kind: fixLIProc, slot: v.Slot})
 		return nil
-	}
-	if i, ok := gen.fidx[name]; ok {
-		gen.emit(machine.Instr{Op: machine.OpLI, Rd: dest, Imm: int64(machine.ForeignAddr(i)), Sym: "foreign " + name})
+	case syntax.RefImport:
+		gen.emit(machine.Instr{Op: machine.OpLI, Rd: dest, Imm: int64(machine.ForeignAddr(v.Slot)), Sym: "foreign " + name})
 		return nil
-	}
-	if addr, ok := gen.labels[name]; ok {
-		gen.emit(machine.Instr{Op: machine.OpLI, Rd: dest, Imm: int64(addr), Sym: "data " + name})
-		return nil
+	case syntax.RefData:
+		if addr, ok := gen.labels[name]; ok {
+			gen.emit(machine.Instr{Op: machine.OpLI, Rd: dest, Imm: int64(addr), Sym: "data " + name})
+			return nil
+		}
 	}
 	return gen.errf(nil, "cannot compile reference to %s", name)
 }

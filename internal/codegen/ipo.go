@@ -43,56 +43,39 @@ import (
 //     jump slots. This converts the §2 "~17%" dispatch overhead into a
 //     peephole win instead of a global configuration choice.
 type procFacts struct {
-	liveness *dataflow.Liveness
-	ownS     int  // dense callee-saves prefix this proc allocates itself
-	nSaved   int  // prefix the prologue actually saves
-	leaf     bool // elide the frame entirely
-	table    bool // branch-table return protocol despite TestAndBranch
+	ownS   int  // dense callee-saves prefix this proc allocates itself
+	nSaved int  // prefix the prologue actually saves
+	leaf   bool // elide the frame entirely
+	table  bool // branch-table return protocol despite TestAndBranch
 }
 
-type optFacts struct {
-	procs map[string]*procFacts
-}
-
-// computeFacts derives the per-procedure optimization facts for src.
-// Called from NewLayout when opts.Opt >= 1.
-func computeFacts(src *cfg.Program, opts Options) *optFacts {
-	facts := &optFacts{procs: map[string]*procFacts{}}
+// computeFacts derives the optimization facts of every procedure of
+// src, by slot, from its liveness live. Called from NewLayout when
+// opts.Opt >= 1.
+func computeFacts(src *cfg.Program, opts Options, live []*dataflow.Liveness) []procFacts {
+	facts := make([]procFacts, len(src.Procs))
 
 	// Classification first: own callee-saves prefix, frame residents,
 	// and suspension points, per procedure.
-	frameResident := map[string]bool{}
-	hasCalls := map[string]bool{}
-	for _, name := range src.Order {
-		g := src.Graphs[name]
-		var lv *dataflow.Liveness
-		if opts.LivenessFor != nil {
-			lv = opts.LivenessFor(name)
-		}
-		if lv == nil {
-			lv = dataflow.ComputeLiveness(g)
-		}
-		_, frameVars, ownS := classifyHomes(g, lv, opts.DisableCalleeSaves)
-		facts.procs[name] = &procFacts{liveness: lv, ownS: ownS}
-		frameResident[name] = len(frameVars) > 0
+	frameResident := make([]bool, len(src.Procs))
+	hasCalls := make([]bool, len(src.Procs))
+	for i, g := range src.Procs {
+		_, frameVars, ownS := classifyHomes(g, live[i], opts.DisableCalleeSaves)
+		facts[i].ownS = ownS
+		frameResident[i] = len(frameVars) > 0
 		for _, n := range g.Nodes() {
 			if n.Kind == cfg.KindCall {
-				hasCalls[name] = true
+				hasCalls[i] = true
 			}
 		}
 	}
 
 	// Precise callee-saves accounting over the barrier-free summaries.
-	cons := dataflow.ConsSummarize(src)
-	ownSOf := func(name string) int {
-		if pf := facts.procs[name]; pf != nil {
-			return pf.ownS
-		}
-		return 0
-	}
-	for _, name := range src.Order {
-		g := src.Graphs[name]
-		pf := facts.procs[name]
+	cg := dataflow.NewCallGraph(src)
+	cons := cg.ConsSummarize()
+	ownSOf := func(q int) int { return facts[q].ownS }
+	for i, g := range src.Procs {
+		pf := &facts[i]
 		pf.nSaved = pf.ownS
 		if !isCutTarget(g) || opts.DisableCalleeSaves {
 			continue
@@ -113,34 +96,28 @@ func computeFacts(src *cfg.Program, opts Options) *optFacts {
 			case dataflow.CalleeImport:
 				continue // foreign code cannot cut, yield, or touch s-regs
 			case dataflow.CalleeProc:
-				if sum := cons.Procs[callee]; sum != nil && sum.Quiet() {
+				if cons.Procs[callee.Slot].Quiet() {
 					continue
 				}
-				clobber = cons.MaxOver(callee, ownSOf)
+				clobber = cons.MaxOver(callee.Slot, ownSOf)
 			default:
 				// Unknown callee: it can only be program code, so the
 				// global maximum prefix bounds the damage.
-				clobber = cons.MaxOver("", ownSOf)
+				clobber = cons.MaxAll(ownSOf)
 			}
-			if clobber > pf.nSaved {
-				pf.nSaved = clobber
-			}
+			pf.nSaved = max(pf.nSaved, clobber)
 		}
-		if pf.nSaved > machine.NumS {
-			pf.nSaved = machine.NumS
-		}
+		pf.nSaved = min(pf.nSaved, machine.NumS)
 	}
 
 	// Leaf-frame elision: nothing can observe the frame.
-	for _, name := range src.Order {
-		g := src.Graphs[name]
-		pf := facts.procs[name]
-		pf.leaf = !hasCalls[name] && !frameResident[name] &&
-			len(g.ContMap) == 0 && pf.nSaved == 0
+	for i, g := range src.Procs {
+		pf := &facts[i]
+		pf.leaf = !hasCalls[i] && !frameResident[i] && len(g.ContMap) == 0 && pf.nSaved == 0
 	}
 
 	if opts.Opt >= 2 && opts.TestAndBranch {
-		computeTableProcs(src, facts)
+		computeTableProcs(src, cg.Summarize(), facts)
 	}
 	return facts
 }
@@ -152,22 +129,18 @@ func computeFacts(src *cfg.Program, opts Options) *optFacts {
 // site has the same alternate count matching that arity. Tail-call
 // partners must agree on the protocol (the jumped-to procedure returns
 // on the jumper's behalf), so mismatched jump edges clear both ends.
-func computeTableProcs(src *cfg.Program, facts *optFacts) {
-	sums := dataflow.Summarize(src)
-	table := map[string]bool{}
-	for _, name := range src.Order {
-		if sum := sums.Procs[name]; sum != nil && !sum.ArityUnknown {
-			table[name] = true
-		}
+func computeTableProcs(src *cfg.Program, sums []dataflow.Summary, facts []procFacts) {
+	table := make([]bool, len(src.Procs))
+	for i := range table {
+		table[i] = !sums[i].ArityUnknown
 	}
 
 	// numAlt[F] is the agreed alternate count of F's call sites; a
 	// second site with a different count disqualifies F.
-	numAlt := map[string]int{}
-	sited := map[string]bool{}
-	jumpEdges := map[string][]string{}
-	for _, name := range src.Order {
-		g := src.Graphs[name]
+	numAlt := make([]int, len(src.Procs))
+	sited := make([]bool, len(src.Procs))
+	var jumpEdges [][2]int // (jumper, jumped-to)
+	for i, g := range src.Procs {
 		for _, n := range g.Nodes() {
 			// Any mention of a procedure's name outside direct-callee
 			// position means its address escapes: a computed call could
@@ -177,48 +150,34 @@ func computeTableProcs(src *cfg.Program, facts *optFacts) {
 				calleeVar, _ = n.Callee.(*syntax.VarExpr)
 			}
 			cfg.WalkNodeExprs(n, func(e syntax.Expr) {
-				v, ok := e.(*syntax.VarExpr)
-				if !ok || v == calleeVar {
-					return
-				}
-				if v.Ref == syntax.RefProc {
-					table[v.Name] = false
+				if v, ok := e.(*syntax.VarExpr); ok && v != calleeVar && v.Ref == syntax.RefProc {
+					table[v.Slot] = false
 				}
 			})
-			switch n.Kind {
-			case cfg.KindCall:
-				if n.IsYield {
-					continue
+			callee, kind := dataflow.ResolveCallee(n.Callee)
+			if kind != dataflow.CalleeProc {
+				continue
+			}
+			switch {
+			case n.Kind == cfg.KindCall && !n.IsYield:
+				c, alt := callee.Slot, n.Bundle.AlternateCount()
+				if sited[c] && numAlt[c] != alt {
+					table[c] = false
 				}
-				callee, kind := dataflow.ResolveCallee(n.Callee)
-				if kind != dataflow.CalleeProc {
-					continue
-				}
-				alt := n.Bundle.AlternateCount()
-				if sited[callee] && numAlt[callee] != alt {
-					table[callee] = false
-				}
-				sited[callee] = true
-				numAlt[callee] = alt
-			case cfg.KindJump:
-				callee, kind := dataflow.ResolveCallee(n.Callee)
-				if kind == dataflow.CalleeProc {
-					jumpEdges[name] = append(jumpEdges[name], callee)
-				}
+				sited[c] = true
+				numAlt[c] = alt
+			case n.Kind == cfg.KindJump:
+				jumpEdges = append(jumpEdges, [2]int{i, callee.Slot})
 			}
 		}
 	}
 
-	// Every exit arity must match the agreed site count.
-	for name, ok := range table {
-		if !ok {
-			continue
-		}
-		want := numAlt[name] // 0 when unsited: only return <n/n> with n=0 allowed
-		for n := range sums.Procs[name].RetArities {
-			if n != want {
-				table[name] = false
-				break
+	// Every exit arity must match the agreed site count (0 when
+	// unsited: only return <n/n> with n=0 allowed).
+	for i, ok := range table {
+		for n := range sums[i].RetArities {
+			if ok && n != numAlt[i] {
+				table[i] = false
 			}
 		}
 	}
@@ -226,19 +185,15 @@ func computeTableProcs(src *cfg.Program, facts *optFacts) {
 	// Tail-call protocol agreement, to a fixed point.
 	for changed := true; changed; {
 		changed = false
-		for from, tos := range jumpEdges {
-			for _, to := range tos {
-				if table[from] != table[to] {
-					table[from], table[to] = false, false
-					changed = true
-				}
+		for _, e := range jumpEdges {
+			if table[e[0]] != table[e[1]] {
+				table[e[0]], table[e[1]] = false, false
+				changed = true
 			}
 		}
 	}
 
-	for name, ok := range table {
-		if pf := facts.procs[name]; pf != nil {
-			pf.table = ok
-		}
+	for i, ok := range table {
+		facts[i].table = ok
 	}
 }

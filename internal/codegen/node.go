@@ -152,12 +152,10 @@ func (gen *generator) emitNode(n *cfg.Node) (*cfg.Node, error) {
 	case cfg.KindJump:
 		// Tail call: deallocate the frame, then transfer.
 		gen.epilogue()
-		if v, ok := n.Callee.(*syntax.VarExpr); ok {
-			if _, isProc := gen.src.Graphs[v.Name]; isProc {
-				at := gen.emit(machine.Instr{Op: machine.OpJmp, Sym: v.Name})
-				gen.fixupsGlobal = append(gen.fixupsGlobal, fixup{at: at, kind: fixProc, name: v.Name})
-				return nil, nil
-			}
+		if v, ok := n.Callee.(*syntax.VarExpr); ok && v.Ref == syntax.RefProc {
+			at := gen.emit(machine.Instr{Op: machine.OpJmp, Sym: v.Name})
+			gen.fixupsGlobal = append(gen.fixupsGlobal, fixup{at: at, kind: fixProc, slot: v.Slot})
+			return nil, nil
 		}
 		if err := gen.eval(n.Callee, machine.RX0, 1); err != nil {
 			return nil, err
@@ -280,9 +278,9 @@ func (gen *generator) emitCall(n *cfg.Node) (*cfg.Node, error) {
 	} else if v, ok := n.Callee.(*syntax.VarExpr); ok && (v.Ref == syntax.RefProc || v.Ref == syntax.RefImport) {
 		if v.Ref == syntax.RefProc {
 			at := gen.emit(machine.Instr{Op: machine.OpCall, Sym: v.Name})
-			gen.fixupsGlobal = append(gen.fixupsGlobal, fixup{at: at, kind: fixProc, name: v.Name})
-		} else if i, isForeign := gen.fidx[v.Name]; isForeign {
-			gen.emit(machine.Instr{Op: machine.OpForeign, Imm: int64(i), Sym: v.Name})
+			gen.fixupsGlobal = append(gen.fixupsGlobal, fixup{at: at, kind: fixProc, slot: v.Slot})
+		} else {
+			gen.emit(machine.Instr{Op: machine.OpForeign, Imm: int64(v.Slot), Sym: v.Name})
 		}
 	} else {
 		if err := gen.eval(n.Callee, machine.RX0, 1); err != nil {
@@ -347,15 +345,11 @@ func (gen *generator) tableForm() bool {
 // run-time system re-enters them through the recorded continuation pcs,
 // never through ra arithmetic.
 func (gen *generator) calleeTableForm(n *cfg.Node) bool {
-	if n.IsYield || gen.lay == nil || gen.lay.facts == nil {
+	if n.IsYield || gen.lay.facts == nil {
 		return false
 	}
 	callee, kind := dataflow.ResolveCallee(n.Callee)
-	if kind != dataflow.CalleeProc {
-		return false
-	}
-	pf := gen.lay.facts.procs[callee]
-	return pf != nil && pf.table
+	return kind == dataflow.CalleeProc && gen.lay.facts[callee.Slot].table
 }
 
 // staticValue resolves a descriptor expression to a word.

@@ -1,9 +1,5 @@
 package dataflow
 
-import (
-	"cmm/internal/cfg"
-)
-
 // This file computes the conservative (barrier-free) variant of the
 // interprocedural summaries in summary.go. The annotation-based
 // summaries of Summarize treat "also cuts to"/"also unwinds to" without
@@ -18,7 +14,7 @@ import (
 // whether a frame can ever be observed by a walk — must hold on every
 // execution the MACHINE permits, not just the annotated ones.
 //
-// ConsSummarize therefore propagates MayCut and MayYield through every
+// ConsSummarize therefore closes the call graph's seed facts over every
 // static call and jump edge with no barriers, and additionally exposes
 // the call/jump reachability closure so clients can fold per-procedure
 // quantities (such as callee-saves usage) over everything a call might
@@ -50,109 +46,78 @@ func (s *ConsSummary) Quiet() bool {
 }
 
 // ConsSummaries holds the barrier-free summaries and the call/jump
-// reachability closure of a program.
+// reachability closure of a program, by procedure slot.
 type ConsSummaries struct {
-	Procs map[string]*ConsSummary
-	// Reach[p] is the set of defined procedures reachable from p over
-	// static call and jump edges, including p itself. Imports are not
-	// listed (foreign code cannot touch the simulated register file).
-	Reach map[string]map[string]bool
+	Procs []ConsSummary
+	// Reach[p] is the set of procedures reachable from p over static
+	// call and jump edges, including p itself. Imports are not listed
+	// (foreign code cannot touch the simulated register file).
+	Reach []Bitset
 }
 
-// MaxOver folds f over the reachability closure of proc, returning the
-// maximum. When the closure is incomplete (an unresolved target), the
-// fold includes every procedure of the program: an unresolved transfer
-// in this simulated machine can only land in program code.
-func (s *ConsSummaries) MaxOver(proc string, f func(string) int) int {
-	set := s.Reach[proc]
-	if sum := s.Procs[proc]; sum != nil && sum.Incomplete {
-		set = nil // widen to the whole program below
+// Bitset is a set of procedure slots: slot q is bit q%64 of word q/64.
+type Bitset []uint64
+
+// Has reports whether slot q is in the set.
+func (b Bitset) Has(q int) bool { return b[q/64]&(1<<(q%64)) != 0 }
+
+// MaxOver folds f over the reachability closure of procedure p,
+// returning the maximum. When the closure is incomplete (an unresolved
+// target), it is MaxAll: an unresolved transfer in this simulated
+// machine can only land in program code.
+func (s *ConsSummaries) MaxOver(p int, f func(int) int) int {
+	if s.Procs[p].Incomplete {
+		return s.MaxAll(f)
 	}
-	max := 0
-	if set == nil {
-		for name := range s.Procs {
-			if v := f(name); v > max {
-				max = v
-			}
-		}
-		return max
-	}
-	for name := range set {
-		if v := f(name); v > max {
-			max = v
+	m := 0
+	for q := range s.Procs {
+		if s.Reach[p].Has(q) {
+			m = max(m, f(q))
 		}
 	}
-	return max
+	return m
 }
 
-// ConsSummarize computes barrier-free summaries for every procedure.
-func ConsSummarize(prog *cfg.Program) *ConsSummaries {
-	s := &ConsSummaries{
-		Procs: map[string]*ConsSummary{},
-		Reach: map[string]map[string]bool{},
+// MaxAll folds f over every procedure of the program, returning the
+// maximum.
+func (s *ConsSummaries) MaxAll(f func(int) int) int {
+	m := 0
+	for q := range s.Procs {
+		m = max(m, f(q))
 	}
-	edges := map[string][]string{} // static call+jump targets, deduplicated
-	for _, name := range prog.Order {
-		g := prog.Graphs[name]
-		sum := &ConsSummary{}
-		s.Procs[name] = sum
-		seen := map[string]bool{}
-		addEdge := func(callee string) {
-			if !seen[callee] {
-				seen[callee] = true
-				edges[name] = append(edges[name], callee)
-			}
-		}
-		for _, n := range g.Nodes() {
-			switch n.Kind {
-			case cfg.KindCutTo:
-				if _, kind := ResolveCallee(n.Callee); kind != CalleeCont {
-					sum.MayCut = true
-				}
-			case cfg.KindCall, cfg.KindJump:
-				if n.IsYield {
-					sum.MayYield = true
-					continue
-				}
-				callee, kind := ResolveCallee(n.Callee)
-				switch kind {
-				case CalleeProc:
-					addEdge(callee)
-				case CalleeImport:
-					// Foreign code cannot cut, yield, or touch the
-					// simulated register file.
-				default:
-					sum.Incomplete = true
-				}
-			}
-		}
-	}
+	return m
+}
 
-	// Reachability closure (includes the procedure itself).
-	for _, name := range prog.Order {
-		set := map[string]bool{name: true}
-		stack := []string{name}
+// ConsSummarize computes barrier-free summaries for every procedure: the
+// seed facts of everything its closure reaches.
+func (cg *CallGraph) ConsSummarize() *ConsSummaries {
+	n, w := len(cg.procs), (len(cg.procs)+63)/64
+	s := &ConsSummaries{Procs: make([]ConsSummary, n), Reach: make([]Bitset, n)}
+	words := make(Bitset, n*w)
+	var stack []int
+	for p := range cg.procs {
+		set := words[p*w : (p+1)*w]
+		s.Reach[p] = set
+		visit := func(q int) {
+			if !set.Has(q) {
+				set[q/64] |= 1 << (q % 64)
+				stack = append(stack, q)
+			}
+		}
+		visit(p)
+		sum := &s.Procs[p]
 		for len(stack) > 0 {
-			p := stack[len(stack)-1]
+			q := &cg.procs[stack[len(stack)-1]]
 			stack = stack[:len(stack)-1]
-			for _, q := range edges[p] {
-				if !set[q] {
-					set[q] = true
-					stack = append(stack, q)
-				}
+			sum.MayCut = sum.MayCut || q.seed.MayCut
+			sum.MayYield = sum.MayYield || q.seed.MayYield
+			sum.Incomplete = sum.Incomplete || q.seed.Incomplete
+			for _, e := range q.calls {
+				visit(e.callee)
 			}
-		}
-		s.Reach[name] = set
-	}
-
-	// Fold the seed facts over the closure: no barriers.
-	for _, name := range prog.Order {
-		sum := s.Procs[name]
-		for q := range s.Reach[name] {
-			qs := s.Procs[q]
-			sum.MayCut = sum.MayCut || qs.MayCut
-			sum.MayYield = sum.MayYield || qs.MayYield
-			sum.Incomplete = sum.Incomplete || qs.Incomplete
+			for _, r := range q.jumps {
+				visit(r)
+			}
 		}
 	}
 	return s

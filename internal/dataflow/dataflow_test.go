@@ -408,7 +408,7 @@ func TestSSAVerifyAllFigures(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			p := build(t, src)
 			for _, gname := range p.Order {
-				g := p.Graphs[gname]
+				g := p.Graph(gname)
 				s := BuildSSA(g)
 				if err := s.Verify(); err != nil {
 					t.Errorf("%s: %v\n%s", gname, err, s)

@@ -233,7 +233,7 @@ func TestLivenessMatchesReference(t *testing.T) {
 	for name, src := range livenessCorpus(t) {
 		prog := buildProgram(t, name, src)
 		for _, pname := range prog.Order {
-			g := prog.Graphs[pname]
+			g := prog.Graph(pname)
 			compareWithReference(t, name, g)
 			opt.Optimize(g, opt.Options{})
 			compareWithReference(t, name+" optimized", g)
@@ -317,7 +317,7 @@ func BenchmarkComputeLiveness(b *testing.B) {
 	for i, src := range srcs {
 		prog := buildProgram(b, fmt.Sprint("source ", i), src)
 		for _, name := range prog.Order {
-			graphs = append(graphs, prog.Graphs[name])
+			graphs = append(graphs, prog.Graph(name))
 		}
 	}
 	b.ReportAllocs()

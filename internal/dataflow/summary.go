@@ -1,6 +1,8 @@
 package dataflow
 
 import (
+	"maps"
+
 	"cmm/internal/cfg"
 	"cmm/internal/syntax"
 )
@@ -34,20 +36,23 @@ const (
 )
 
 // ResolveCallee resolves the target expression of a Call, Jump, or CutTo
-// node to a name and kind. Targets that are not simple names — or
-// names bound to mutable variables — resolve to CalleeUnknown.
-func ResolveCallee(target syntax.Expr) (string, CalleeKind) {
+// node to the reference it names and its kind. A procedure's Slot
+// indexes cfg.Program.Procs, an import's cfg.Program.Foreign and a
+// continuation's its Entry's Conts. Targets that are not simple names —
+// or names bound to mutable variables — resolve to (nil,
+// CalleeUnknown).
+func ResolveCallee(target syntax.Expr) (*syntax.VarExpr, CalleeKind) {
 	if v, ok := target.(*syntax.VarExpr); ok {
 		switch v.Ref {
 		case syntax.RefProc:
-			return v.Name, CalleeProc
+			return v, CalleeProc
 		case syntax.RefImport:
-			return v.Name, CalleeImport
+			return v, CalleeImport
 		case syntax.RefCont:
-			return v.Name, CalleeCont
+			return v, CalleeCont
 		}
 	}
-	return "", CalleeUnknown
+	return nil, CalleeUnknown
 }
 
 // Summary is the interprocedural control-flow behaviour of one
@@ -80,9 +85,19 @@ type Summary struct {
 	Incomplete bool
 }
 
-// Summaries holds a Summary per procedure of a program.
-type Summaries struct {
-	Procs map[string]*Summary
+// CallGraph is the static call graph of a program, by procedure slot:
+// every procedure's statically resolved call and jump targets, and the
+// facts its own nodes establish before any propagation. It is built once
+// and read by both the annotation-respecting summaries (Summarize) and
+// their barrier-free closure (ConsSummarize).
+type CallGraph struct {
+	procs []procEdges
+}
+
+type procEdges struct {
+	seed  Summary    // the procedure's own facts
+	calls []callEdge // call edges, with their barriers
+	jumps []int      // tail-call targets; the activation is replaced, so no barriers
 }
 
 // callEdge is one static call edge with the annotation facts that govern
@@ -93,29 +108,20 @@ type Summaries struct {
 // annotated "also unwinds to" but not "also aborts" is the same barrier
 // for MayYield: a dispatcher discarding that frame would trap.
 type callEdge struct {
-	callee       string
+	callee       int
 	catchesCut   bool // also cuts to … without also aborts
 	catchesYield bool // also unwinds to … without also aborts
 }
 
-// Summarize computes control-flow summaries for every procedure by
-// fixpoint over the static call graph. Only reachable nodes (Graph.Nodes)
-// contribute: the implicit fall-off return synthesized by translation is
-// ignored when no execution reaches it.
-func Summarize(prog *cfg.Program) *Summaries {
-	s := &Summaries{Procs: map[string]*Summary{}}
-	// calls[p] and jumps[p] list the statically resolved local targets;
-	// jump edges have no surviving annotations (the activation is
-	// replaced), so they carry no barrier facts.
-	calls := map[string][]callEdge{}
-	jumps := map[string][]string{}
-	unknownJump := map[string]bool{}
-	jumpsForeign := map[string]bool{}
-
-	for _, name := range prog.Order {
-		g := prog.Graphs[name]
-		sum := &Summary{RetArities: map[int]bool{}}
-		s.Procs[name] = sum
+// NewCallGraph builds the static call graph of prog. Only reachable
+// nodes (Graph.Nodes) contribute: the implicit fall-off return
+// synthesized by translation is ignored when no execution reaches it.
+func NewCallGraph(prog *cfg.Program) *CallGraph {
+	cg := &CallGraph{procs: make([]procEdges, len(prog.Procs))}
+	for i, g := range prog.Procs {
+		p := &cg.procs[i]
+		sum := &p.seed
+		sum.RetArities = map[int]bool{}
 		for _, n := range g.Nodes() {
 			switch n.Kind {
 			case cfg.KindExit:
@@ -135,8 +141,8 @@ func Summarize(prog *cfg.Program) *Summaries {
 				callee, kind := ResolveCallee(n.Callee)
 				switch kind {
 				case CalleeProc:
-					calls[name] = append(calls[name], callEdge{
-						callee:       callee,
+					p.calls = append(p.calls, callEdge{
+						callee:       callee.Slot,
 						catchesCut:   len(n.Bundle.Cuts) > 0 && !n.Bundle.Abort,
 						catchesYield: len(n.Bundle.Unwinds) > 0 && !n.Bundle.Abort,
 					})
@@ -149,34 +155,38 @@ func Summarize(prog *cfg.Program) *Summaries {
 				callee, kind := ResolveCallee(n.Callee)
 				switch kind {
 				case CalleeProc:
-					jumps[name] = append(jumps[name], callee)
+					p.jumps = append(p.jumps, callee.Slot)
 				case CalleeImport:
 					// A jump to foreign code returns normally with
 					// arity 0 on the jumper's behalf.
-					jumpsForeign[name] = true
+					sum.RetArities[0] = true
+					sum.ReturnsNormally = true
 				default:
-					unknownJump[name] = true
+					// An unresolved tail call may return normally with
+					// any arity.
 					sum.ArityUnknown = true
 					sum.Incomplete = true
+					sum.ReturnsNormally = true
 				}
 			}
 		}
-		if jumpsForeign[name] {
-			sum.RetArities[0] = true
-			sum.ReturnsNormally = true
-		}
-		if unknownJump[name] {
-			// An unresolved tail call may return normally with any arity.
-			sum.ReturnsNormally = true
-		}
 	}
+	return cg
+}
 
-	// Propagate to fixpoint. MayCut, MayYield, and Incomplete flow
-	// backward over call and jump edges (the callee runs on top of — or
-	// in place of — the caller's activation either way), except through
-	// the barriers described on callEdge; RetArities, ArityUnknown, and
-	// ReturnsNormally flow backward over jump edges only (a tail call's
-	// returns go to the jumper's caller).
+// Summarize computes control-flow summaries for every procedure, by
+// slot, as a fixpoint over the call graph. MayCut, MayYield, and
+// Incomplete flow backward over call and jump edges (the callee runs on
+// top of — or in place of — the caller's activation either way), except
+// through the barriers described on callEdge; RetArities, ArityUnknown,
+// and ReturnsNormally flow backward over jump edges only (a tail call's
+// returns go to the jumper's caller).
+func (cg *CallGraph) Summarize() []Summary {
+	sums := make([]Summary, len(cg.procs))
+	for i, p := range cg.procs {
+		sums[i] = p.seed
+		sums[i].RetArities = maps.Clone(p.seed.RetArities)
+	}
 	for changed := true; changed; {
 		changed = false
 		set := func(dst *bool, src bool) {
@@ -185,16 +195,16 @@ func Summarize(prog *cfg.Program) *Summaries {
 				changed = true
 			}
 		}
-		for _, name := range prog.Order {
-			sum := s.Procs[name]
-			for _, e := range calls[name] {
-				cs := s.Procs[e.callee]
+		for i, p := range cg.procs {
+			sum := &sums[i]
+			for _, e := range p.calls {
+				cs := &sums[e.callee]
 				set(&sum.MayCut, cs.MayCut && !e.catchesCut)
 				set(&sum.MayYield, cs.MayYield && !e.catchesYield)
 				set(&sum.Incomplete, cs.Incomplete)
 			}
-			for _, callee := range jumps[name] {
-				cs := s.Procs[callee]
+			for _, callee := range p.jumps {
+				cs := &sums[callee]
 				set(&sum.MayCut, cs.MayCut)
 				set(&sum.MayYield, cs.MayYield)
 				set(&sum.Incomplete, cs.Incomplete)
@@ -209,5 +219,5 @@ func Summarize(prog *cfg.Program) *Summaries {
 			}
 		}
 	}
-	return s
+	return sums
 }

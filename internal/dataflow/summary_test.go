@@ -7,6 +7,15 @@ import (
 	"cmm/internal/syntax"
 )
 
+// summaries returns the program's summaries by procedure name.
+func summaries(prog *cfg.Program) map[string]Summary {
+	out := map[string]Summary{}
+	for i, s := range NewCallGraph(prog).Summarize() {
+		out[prog.Order[i]] = s
+	}
+	return out
+}
+
 // TestSummaryTransitiveCut: may-cut propagates backward through
 // unannotated call chains.
 func TestSummaryTransitiveCut(t *testing.T) {
@@ -19,9 +28,9 @@ c(bits32 x, bits32 kv) {
     return (x);
 }
 `)
-	s := Summarize(prog)
+	s := summaries(prog)
 	for _, proc := range []string{"a", "b", "c"} {
-		if !s.Procs[proc].MayCut {
+		if !s[proc].MayCut {
 			t.Errorf("%s: MayCut = false, want true", proc)
 		}
 	}
@@ -48,14 +57,14 @@ raiser(bits32 x, bits32 kv) {
     return (x);
 }
 `)
-	s := Summarize(prog)
-	if !s.Procs["raiser"].MayCut {
+	s := summaries(prog)
+	if !s["raiser"].MayCut {
 		t.Error("raiser: MayCut = false, want true")
 	}
-	if s.Procs["wrapper"].MayCut {
+	if s["wrapper"].MayCut {
 		t.Error("wrapper catches every cut (also cuts to, no also aborts) but MayCut = true")
 	}
-	if s.Procs["outer"].MayCut {
+	if s["outer"].MayCut {
 		t.Error("outer: MayCut = true, want false — the wrapper is a barrier")
 	}
 }
@@ -78,11 +87,11 @@ raiser(bits32 x, bits32 kv) {
     return (x);
 }
 `)
-	s := Summarize(prog)
-	if !s.Procs["mid"].MayCut {
+	s := summaries(prog)
+	if !s["mid"].MayCut {
 		t.Error("mid: MayCut = false, want true — also aborts admits escaping cuts")
 	}
-	if !s.Procs["outer"].MayCut {
+	if !s["outer"].MayCut {
 		t.Error("outer: MayCut = false, want true")
 	}
 }
@@ -100,15 +109,15 @@ h(bits32 x) {
     return <1/1> (x);
 }
 `)
-	s := Summarize(prog)
-	if !s.Procs["f"].MayYield {
+	s := summaries(prog)
+	if !s["f"].MayYield {
 		t.Error("f: MayYield = false, want true (solid division yields on failure)")
 	}
-	if s.Procs["f"].MayCut {
+	if s["f"].MayCut {
 		t.Error("f: MayCut = true, want false")
 	}
 	for _, proc := range []string{"g", "h"} {
-		sum := s.Procs[proc]
+		sum := s[proc]
 		if !sum.RetArities[1] || sum.ArityUnknown {
 			t.Errorf("%s: RetArities = %v (unknown=%v), want {1}", proc, sum.RetArities, sum.ArityUnknown)
 		}
@@ -126,11 +135,11 @@ export f, g;
 f(bits32 p) { bits32 r; r = p(1); return (r); }
 g(bits32 x) { return (x); }
 `)
-	s := Summarize(prog)
-	if !s.Procs["f"].Incomplete {
+	s := summaries(prog)
+	if !s["f"].Incomplete {
 		t.Error("f calls a computed value; Incomplete = false, want true")
 	}
-	if s.Procs["g"].Incomplete {
+	if s["g"].Incomplete {
 		t.Error("g: Incomplete = true, want false")
 	}
 }
@@ -153,7 +162,7 @@ continuation k(v):
 }
 g(bits32 x) { return (x); }
 `)
-	g := prog.Graphs["f"]
+	g := prog.Graph("f")
 	kinds := map[string]CalleeKind{}
 	for _, n := range g.Nodes() {
 		var target syntax.Expr
@@ -165,7 +174,11 @@ g(bits32 x) { return (x); }
 		default:
 			continue
 		}
-		name, kind := ResolveCallee(target)
+		v, kind := ResolveCallee(target)
+		name := ""
+		if v != nil {
+			name = v.Name
+		}
 		kinds[name] = kind
 	}
 	want := map[string]CalleeKind{

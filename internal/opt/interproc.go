@@ -46,9 +46,8 @@ func (r *InterprocResult) String() string {
 // cut through. Observable event streams are unchanged.
 func Interproc(prog *cfg.Program) *InterprocResult {
 	res := &InterprocResult{}
-	cons := dataflow.ConsSummarize(prog)
-	for _, name := range prog.Order {
-		g := prog.Graphs[name]
+	cons := dataflow.NewCallGraph(prog).ConsSummarize()
+	for _, g := range prog.Procs {
 		for _, n := range g.Nodes() {
 			if n.Kind != cfg.KindCall || n.IsYield || n.Bundle == nil {
 				continue
@@ -58,12 +57,8 @@ func Interproc(prog *cfg.Program) *InterprocResult {
 				continue
 			}
 			callee, kind := dataflow.ResolveCallee(n.Callee)
-			quiet := kind == dataflow.CalleeImport
-			if kind == dataflow.CalleeProc {
-				if sum := cons.Procs[callee]; sum != nil && sum.Quiet() {
-					quiet = true
-				}
-			}
+			quiet := kind == dataflow.CalleeImport ||
+				kind == dataflow.CalleeProc && cons.Procs[callee.Slot].Quiet()
 			if !quiet {
 				continue
 			}
@@ -82,16 +77,17 @@ func Interproc(prog *cfg.Program) *InterprocResult {
 
 // pruneConts removes continuation bindings that nothing references:
 // their entry node is unreachable over flow edges alone, and no
-// reachable node mentions their name in an expression (a cut-to target
-// or a continuation value passed as data keeps its binding). Runs to a
-// fixed point because keeping one continuation can reference another.
+// reachable node mentions them in an expression (a cut-to target or a
+// continuation value passed as data keeps its binding). Runs to a fixed
+// point because keeping one continuation can reference another.
 func pruneConts(g *cfg.Graph) int {
 	// Flow reachability WITHOUT the Entry→Conts binding edges: a
 	// continuation reached only through its binding is a candidate.
-	// Visiting a node also collects the names its expressions mention,
-	// so a kept continuation's body can in turn keep others.
+	// Visiting a node also marks the continuations its expressions
+	// mention, by slot, so a kept continuation's body can in turn keep
+	// others.
 	reached := map[*cfg.Node]bool{}
-	names := map[string]bool{}
+	mentioned := make([]bool, len(g.Entry.Conts))
 	var visit func(n *cfg.Node)
 	visit = func(n *cfg.Node) {
 		if n == nil || reached[n] {
@@ -99,8 +95,8 @@ func pruneConts(g *cfg.Graph) int {
 		}
 		reached[n] = true
 		cfg.WalkNodeExprs(n, func(e syntax.Expr) {
-			if v, ok := e.(*syntax.VarExpr); ok {
-				names[v.Name] = true
+			if v, ok := e.(*syntax.VarExpr); ok && v.Ref == syntax.RefCont {
+				mentioned[v.Slot] = true
 			}
 		})
 		for _, s := range n.FlowSuccs() {
@@ -110,8 +106,8 @@ func pruneConts(g *cfg.Graph) int {
 	visit(g.Entry)
 	for changed := true; changed; {
 		changed = false
-		for _, cb := range g.Entry.Conts {
-			if names[cb.Name] && !reached[cb.Node] {
+		for k, cb := range g.Entry.Conts {
+			if mentioned[k] && !reached[cb.Node] {
 				visit(cb.Node)
 				changed = true
 			}
@@ -120,8 +116,8 @@ func pruneConts(g *cfg.Graph) int {
 
 	removed := 0
 	var kept []cfg.ContBinding
-	for _, cb := range g.Entry.Conts {
-		if reached[cb.Node] || names[cb.Name] {
+	for k, cb := range g.Entry.Conts {
+		if reached[cb.Node] || mentioned[k] {
 			kept = append(kept, cb)
 		} else {
 			delete(g.ContMap, cb.Name)

@@ -258,7 +258,7 @@ func TestOptimizePreservesFigure1(t *testing.T) {
 	pOpt := build(t, paper.Figure1)
 	pRef := build(t, paper.Figure1)
 	for _, name := range pOpt.Order {
-		Optimize(pOpt.Graphs[name], Options{})
+		Optimize(pOpt.Graph(name), Options{})
 	}
 	for n := uint64(1); n <= 8; n++ {
 		for _, proc := range []string{"sp1", "sp2", "sp3"} {
@@ -362,7 +362,7 @@ g() {
 		t.Fatal(err)
 	}
 	pOpt, _ := build2()
-	Optimize(pOpt.Graphs["f"], Options{})
+	Optimize(pOpt.Graph("f"), Options{})
 	_, mOpt := func() (*cfg.Program, *sem.Machine) {
 		rts := sem.RuntimeFunc(func(m *sem.Machine, args []sem.Value) error {
 			a, _ := m.FirstActivation()
@@ -400,10 +400,10 @@ g() {
 func TestOptimizeIdempotent(t *testing.T) {
 	p := build(t, paper.Figure1)
 	for _, name := range p.Order {
-		Optimize(p.Graphs[name], Options{})
+		Optimize(p.Graph(name), Options{})
 	}
 	for _, name := range p.Order {
-		res := Optimize(p.Graphs[name], Options{})
+		res := Optimize(p.Graph(name), Options{})
 		if res.total() != 0 {
 			t.Errorf("%s: second run still changed things: %s", name, res)
 		}
@@ -622,7 +622,7 @@ func TestOptimizeFigure10Program(t *testing.T) {
 		paper.Figure10 + paper.RaiseCutting
 	p := build(t, src)
 	for _, name := range p.Order {
-		Optimize(p.Graphs[name], Options{})
+		Optimize(p.Graph(name), Options{})
 	}
 	// Memory stores of the handler continuation survive.
 	g := p.Graph("TryAMove")

@@ -461,9 +461,9 @@ func compareWithReference(t *testing.T, where, src string, opts Options) {
 	dense, ref, plain := build(t, src), build(t, src), build(t, src)
 	for _, pname := range dense.Order {
 		where := fmt.Sprintf("%s/%s noexc=%v", where, pname, opts.WithoutExceptionEdges)
-		want := Optimize(plain.Graphs[pname], opts)
+		want := Optimize(plain.Graph(pname), opts)
 
-		gd, gr := dense.Graphs[pname], ref.Graphs[pname]
+		gd, gr := dense.Graph(pname), ref.Graph(pname)
 		rd, rr := &Result{}, &Result{}
 		od, or := newOptimizer(gd, opts, rd), newOptimizer(gr, opts, rr)
 		for round := 0; round < 10; round++ {
@@ -493,10 +493,10 @@ func compareWithReference(t *testing.T, where, src string, opts Options) {
 		if *rd != *rr || *rd != *want {
 			t.Errorf("%s: dense %s, reference %s, Optimize %s", where, rd, rr, want)
 		}
-		if gd.String() != gr.String() || gd.String() != plain.Graphs[pname].String() {
-			t.Errorf("%s: graphs differ\ndense:\n%s\nreference:\n%s\nOptimize:\n%s", where, gd, gr, plain.Graphs[pname])
+		if gd.String() != gr.String() || gd.String() != plain.Graph(pname).String() {
+			t.Errorf("%s: graphs differ\ndense:\n%s\nreference:\n%s\nOptimize:\n%s", where, gd, gr, plain.Graph(pname))
 		}
-		if edges(gd) != edges(gr) || edges(gd) != edges(plain.Graphs[pname]) {
+		if edges(gd) != edges(gr) || edges(gd) != edges(plain.Graph(pname)) {
 			t.Errorf("%s: edges differ\ndense:\n%s\nreference:\n%s", where, edges(gd), edges(gr))
 		}
 	}
@@ -621,7 +621,7 @@ func TestReoptimizeKeepsExpressions(t *testing.T) {
 	for name, src := range propagateCorpus() {
 		p := build(t, src)
 		for _, pname := range p.Order {
-			g := p.Graphs[pname]
+			g := p.Graph(pname)
 			Optimize(g, Options{})
 			before := exprPointers(g)
 			if res := Optimize(g, Options{}); res.total() != 0 {

@@ -148,8 +148,7 @@ type Config struct {
 	Workers int
 	// Opt configures the optimizer pass.
 	Opt opt.Options
-	// Codegen configures code generation. LivenessFor is overwritten by
-	// the session with its cached analysis.
+	// Codegen configures code generation.
 	Codegen codegen.Options
 	// DumpAfter lists pass names to snapshot the IR after; see
 	// Session.Snapshot. Unknown names are reported by Validate.
@@ -197,13 +196,14 @@ type Session struct {
 	info   *check.Info
 	prog   *cfg.Program
 
-	liveness      map[string]*dataflow.Liveness
+	liveness      []*dataflow.Liveness // by procedure slot
 	livenessValid bool
 
 	code *codegen.Program
 
-	// snapshots[pass][proc] is the IR dump captured after pass.
-	snapshots map[string]map[string]string
+	// snapshots[pass] holds the IR dumps captured after pass, in
+	// procedure order.
+	snapshots map[string][]procDump
 
 	frontendDone bool
 }
@@ -214,8 +214,11 @@ func New(src string, cfg Config) *Session {
 	if cfg.Workers == 0 {
 		cfg.Workers = runtime.NumCPU()
 	}
-	return &Session{cfg: cfg, src: src, snapshots: map[string]map[string]string{}}
+	return &Session{cfg: cfg, src: src, snapshots: map[string][]procDump{}}
 }
+
+// procDump is one procedure's IR dump.
+type procDump struct{ proc, text string }
 
 // Record appends an externally timed pass to the session's stats. Front
 // ends that run before parse (the MiniM3 stages) use it so their wall
@@ -279,20 +282,19 @@ func (s *Session) Info() *check.Info { return s.info }
 // Snapshot returns the IR dump of proc captured after the named pass,
 // if Config.DumpAfter requested it.
 func (s *Session) Snapshot(pass, proc string) (string, bool) {
-	m, ok := s.snapshots[pass]
-	if !ok {
-		return "", false
+	for _, d := range s.snapshots[pass] {
+		if d.proc == proc {
+			return d.text, true
+		}
 	}
-	d, ok := m[proc]
-	return d, ok
+	return "", false
 }
 
 // SnapshotProcs lists the procedures captured after the named pass.
 func (s *Session) SnapshotProcs(pass string) []string {
-	m := s.snapshots[pass]
 	var out []string
-	for p := range m {
-		out = append(out, p)
+	for _, d := range s.snapshots[pass] {
+		out = append(out, d.proc)
 	}
 	sort.Strings(out)
 	return out
@@ -312,8 +314,8 @@ func (s *Session) irNodes() int {
 		return 0
 	}
 	total := 0
-	for _, name := range s.prog.Order {
-		total += len(s.prog.Graphs[name].Nodes())
+	for _, g := range s.prog.Procs {
+		total += len(g.Nodes())
 	}
 	return total
 }
@@ -332,34 +334,31 @@ func (s *Session) timePass(name string, procs int, before int, after func() int,
 	return err
 }
 
-// forEachProc fans fn out over the program's procedures. Workers write
-// only into their own index of any result slice, and the caller
-// aggregates in index order, so the observable result is independent of
-// scheduling. The first error in declaration order wins.
-func (s *Session) forEachProc(fn func(i int, name string) error) error {
-	names := s.prog.Order
-	errs := make([]error, len(names))
-	if s.cfg.Workers <= 1 || len(names) <= 1 {
-		for i, name := range names {
-			errs[i] = fn(i, name)
+// forEachProc fans fn out over the program's procedures, by slot.
+// Workers write only into their own index of any result slice, and the
+// caller aggregates in index order, so the observable result is
+// independent of scheduling. The first error in declaration order wins.
+func (s *Session) forEachProc(fn func(i int) error) error {
+	n := len(s.prog.Procs)
+	errs := make([]error, n)
+	if s.cfg.Workers <= 1 || n <= 1 {
+		for i := range n {
+			errs[i] = fn(i)
 		}
 	} else {
 		var wg sync.WaitGroup
 		idx := make(chan int)
-		workers := s.cfg.Workers
-		if workers > len(names) {
-			workers = len(names)
-		}
+		workers := min(s.cfg.Workers, n)
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				for i := range idx {
-					errs[i] = fn(i, names[i])
+					errs[i] = fn(i)
 				}
 			}()
 		}
-		for i := range names {
+		for i := range n {
 			idx <- i
 		}
 		close(idx)
@@ -378,14 +377,13 @@ func (s *Session) snapshotGraphs(pass string) {
 	if !s.wantDump(pass) || s.prog == nil {
 		return
 	}
-	m := map[string]string{}
-	for _, name := range s.prog.Order {
-		if s.cfg.DumpProc != "" && name != s.cfg.DumpProc {
-			continue
+	var dumps []procDump
+	for _, g := range s.prog.Procs {
+		if s.cfg.DumpProc == "" || g.Name == s.cfg.DumpProc {
+			dumps = append(dumps, procDump{g.Name, g.String()})
 		}
-		m[name] = s.prog.Graphs[name].String()
 	}
-	s.snapshots[pass] = m
+	s.snapshots[pass] = dumps
 }
 
 func (s *Session) wantDump(pass string) bool {
@@ -484,21 +482,18 @@ func (s *Session) ensureLiveness() error {
 	if s.livenessValid {
 		return nil
 	}
-	results := make([]*dataflow.Liveness, len(s.prog.Order))
+	results := make([]*dataflow.Liveness, len(s.prog.Procs))
 	nodes := s.irNodes()
-	err := s.timePass(PassLiveness, len(s.prog.Order), nodes, func() int { return nodes }, func() error {
-		return s.forEachProc(func(i int, name string) error {
-			results[i] = dataflow.ComputeLiveness(s.prog.Graphs[name])
+	err := s.timePass(PassLiveness, len(s.prog.Procs), nodes, func() int { return nodes }, func() error {
+		return s.forEachProc(func(i int) error {
+			results[i] = dataflow.ComputeLiveness(s.prog.Procs[i])
 			return nil
 		})
 	})
 	if err != nil {
 		return s.fail(PassLiveness, err)
 	}
-	s.liveness = map[string]*dataflow.Liveness{}
-	for i, name := range s.prog.Order {
-		s.liveness[name] = results[i]
-	}
+	s.liveness = results
 	s.livenessValid = true
 	s.snapshotGraphs(PassLiveness)
 	return nil
@@ -513,7 +508,10 @@ func (s *Session) Liveness(proc string) (*dataflow.Liveness, error) {
 	if err := s.ensureLiveness(); err != nil {
 		return nil, err
 	}
-	return s.liveness[proc], nil
+	if i := s.prog.Slot(proc); i >= 0 {
+		return s.liveness[i], nil
+	}
+	return nil, nil
 }
 
 // Interproc runs the summary-driven interprocedural pass: annotation
@@ -553,10 +551,10 @@ func (s *Session) OptimizeWith(o opt.Options) (opt.Result, error) {
 	if err := s.Frontend(); err != nil {
 		return total, err
 	}
-	results := make([]*opt.Result, len(s.prog.Order))
-	err := s.timePass(PassOpt, len(s.prog.Order), s.irNodes(), s.irNodes, func() error {
-		return s.forEachProc(func(i int, name string) error {
-			results[i] = opt.Optimize(s.prog.Graphs[name], o)
+	results := make([]*opt.Result, len(s.prog.Procs))
+	err := s.timePass(PassOpt, len(s.prog.Procs), s.irNodes(), s.irNodes, func() error {
+		return s.forEachProc(func(i int) error {
+			results[i] = opt.Optimize(s.prog.Procs[i], o)
 			return nil
 		})
 	})
@@ -615,21 +613,18 @@ func (s *Session) CodegenWith(base codegen.Options) (*codegen.Program, error) {
 		return nil, err
 	}
 
-	opts := base
-	opts.LivenessFor = func(name string) *dataflow.Liveness { return s.liveness[name] }
-
 	var lay *codegen.Layout
-	chunks := make([]*codegen.ProcChunk, len(s.prog.Order))
+	chunks := make([]*codegen.ProcChunk, len(s.prog.Procs))
 	nodes := s.irNodes()
 	instrs := 0
-	err := s.timePass(PassCodegen, len(s.prog.Order), nodes, func() int { return instrs }, func() error {
+	err := s.timePass(PassCodegen, len(s.prog.Procs), nodes, func() int { return instrs }, func() error {
 		var err error
-		lay, err = codegen.NewLayout(s.prog, opts)
+		lay, err = codegen.NewLayout(s.prog, base, s.liveness)
 		if err != nil {
 			return err
 		}
-		if err := s.forEachProc(func(i int, name string) error {
-			ch, err := lay.EmitProc(name)
+		if err := s.forEachProc(func(i int) error {
+			ch, err := lay.EmitProc(i)
 			if err != nil {
 				return err
 			}
@@ -671,7 +666,7 @@ func (s *Session) snapshotCode(code *codegen.Program) {
 		if !s.wantDump(pass) {
 			continue
 		}
-		m := map[string]string{}
+		var dumps []procDump
 		for _, name := range code.Source.Order {
 			if s.cfg.DumpProc != "" && name != s.cfg.DumpProc {
 				continue
@@ -681,9 +676,9 @@ func (s *Session) snapshotCode(code *codegen.Program) {
 			for i := pi.Entry; i < pi.End; i++ {
 				fmt.Fprintf(&sb, "%5d: %s\n", i, machine.Disasm(code.Code[i]))
 			}
-			m[name] = sb.String()
+			dumps = append(dumps, procDump{name, sb.String()})
 		}
-		s.snapshots[pass] = m
+		s.snapshots[pass] = dumps
 	}
 }
 

@@ -99,7 +99,7 @@ func TestOptimizationPreservesBehavior(t *testing.T) {
 			ref := build(t, src)
 			optd := build(t, src)
 			for _, name := range optd.Order {
-				opt.Optimize(optd.Graphs[name], opt.Options{})
+				opt.Optimize(optd.Graph(name), opt.Options{})
 			}
 			for _, arg := range []uint64{0, 3, 50} {
 				if a, b := semRun(t, ref, arg), semRun(t, optd, arg); a != b {
@@ -119,7 +119,7 @@ func TestOptimizedCompiledAgree(t *testing.T) {
 		ref := build(t, src)
 		optd := build(t, src)
 		for _, name := range optd.Order {
-			opt.Optimize(optd.Graphs[name], opt.Options{})
+			opt.Optimize(optd.Graph(name), opt.Options{})
 		}
 		for _, arg := range []uint64{2, 9} {
 			if a, b := semRun(t, ref, arg), vmRun(t, optd, codegen.Options{}, arg); a != b {
@@ -137,7 +137,7 @@ func TestSSAInvariantsOnRandomPrograms(t *testing.T) {
 		src := Generate(seed, Config{Exceptions: seed%2 == 0})
 		p := build(t, src)
 		for _, name := range p.Order {
-			s := dataflow.BuildSSA(p.Graphs[name])
+			s := dataflow.BuildSSA(p.Graph(name))
 			if err := s.Verify(); err != nil {
 				t.Fatalf("seed %d, proc %s: %v\n%s", seed, name, err, src)
 			}

@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"cmm/internal/cfg"
+	"cmm/internal/diag"
 	"cmm/internal/obs"
 	"cmm/internal/syntax"
 )
@@ -37,9 +38,10 @@ type Machine struct {
 	Steps    int64
 	runStart int64
 
-	procVals map[string]Value
-	graphs   []*cfg.Graph // procedure handle procBase+16*i is graphs[i], prog.Order[i]
-	foreign  []string     // foreign handle foreignBase+16*i names import foreign[i]
+	// Procedure handle procBase+16*i is Prog.Procs[i]; foreign handle
+	// foreignBase+16*i is import Prog.Foreign[i], implemented by
+	// foreign[i] (nil when none is registered).
+	foreign []ForeignFunc
 
 	// Continuation handles are handed out consecutively from nextContH:
 	// each Entry takes one per continuation it binds and records them in
@@ -175,27 +177,10 @@ func New(prog *cfg.Program, opts ...Option) (*Machine, error) {
 		Prog:      prog,
 		globals:   make([]Value, len(prog.Globals)),
 		Foreign:   map[string]ForeignFunc{},
-		procVals:  map[string]Value{},
 		nextContH: contBase,
 		nextUID:   1,
 	}
-	for i, name := range prog.Order {
-		m.procVals[name] = Value{Kind: KCode, Bits: procBase + uint64(16*i)}
-		m.graphs = append(m.graphs, prog.Graphs[name])
-	}
-	for _, imp := range prog.Imports {
-		if _, isProc := m.procVals[imp]; isProc {
-			continue
-		}
-		m.procVals[imp] = Value{Kind: KForeign, Bits: foreignBase + uint64(16*len(m.foreign))}
-		m.foreign = append(m.foreign, imp)
-	}
-	img, err := cfg.BuildImage(prog, func(name string) (uint64, bool) {
-		if v, ok := m.procVals[name]; ok {
-			return v.Bits, true
-		}
-		return 0, false
-	})
+	img, err := cfg.BuildImage(prog, func(v *syntax.VarExpr) (uint64, bool) { return handle(v).Bits, true })
 	if err != nil {
 		return nil, err
 	}
@@ -203,11 +188,15 @@ func New(prog *cfg.Program, opts ...Option) (*Machine, error) {
 	for _, opt := range opts {
 		opt(m)
 	}
+	m.foreign = make([]ForeignFunc, len(prog.Foreign))
+	for i, name := range prog.Foreign {
+		m.foreign[i] = m.Foreign[name]
+	}
 	if m.Mem == nil {
 		m.Mem = make([]byte, DefaultMemSize)
 	}
 	if img.End() > uint64(len(m.Mem)) {
-		return nil, fmt.Errorf("data image (%d bytes at %#x) exceeds memory size %d", len(img.Bytes), img.Base, len(m.Mem))
+		return nil, diag.Errorf("link", "", 0, 0, "data image (%d bytes at %#x) exceeds memory size %d", len(img.Bytes), img.Base, len(m.Mem))
 	}
 	copy(m.Mem[img.Base:], img.Bytes)
 	for i, g := range prog.Globals {
@@ -216,10 +205,13 @@ func New(prog *cfg.Program, opts ...Option) (*Machine, error) {
 	return m, nil
 }
 
-// ProcValue returns the code value for a procedure or registered import.
-func (m *Machine) ProcValue(name string) (Value, bool) {
-	v, ok := m.procVals[name]
-	return v, ok
+// handle is the value of a procedure or import reference: procedure
+// slot i is procBase+16*i, import slot i foreignBase+16*i.
+func handle(v *syntax.VarExpr) Value {
+	if v.Ref == syntax.RefImport {
+		return Value{Kind: KForeign, Bits: foreignBase + 16*uint64(v.Slot)}
+	}
+	return Value{Kind: KCode, Bits: procBase + 16*uint64(v.Slot)}
 }
 
 // valueOfWord recovers the rich value a word denotes: a handle resolves
@@ -234,11 +226,11 @@ func (m *Machine) valueOfWord(w uint64) rich {
 		}
 	case w >= foreignBase:
 		if i := (w - foreignBase) / 16; w%16 == 0 && i < uint64(len(m.foreign)) {
-			return rich{Value: Value{Kind: KForeign, Bits: w}, name: m.foreign[i]}
+			return rich{Value: Value{Kind: KForeign, Bits: w}, name: m.Prog.Foreign[i]}
 		}
 	case w >= procBase:
-		if i := (w - procBase) / 16; w%16 == 0 && i < uint64(len(m.graphs)) {
-			g := m.graphs[i]
+		if i := (w - procBase) / 16; w%16 == 0 && i < uint64(len(m.Prog.Procs)) {
+			g := m.Prog.Procs[i]
 			return rich{Value: Value{Kind: KCode, Bits: w}, node: g.Entry, graph: g, name: m.Prog.Order[i]}
 		}
 	}
@@ -282,13 +274,12 @@ func (m *Machine) wrongf(format string, args ...any) error {
 // machine terminates normally, returning the values it returned. A
 // non-nil error means the program went wrong (§5.2) or exceeded MaxSteps.
 func (m *Machine) Run(proc string, args ...uint64) ([]Value, error) {
-	pv, ok := m.procVals[proc]
-	if !ok || pv.Kind != KCode {
+	slot := m.Prog.Slot(proc)
+	if slot < 0 {
 		return nil, fmt.Errorf("no procedure %s", proc)
 	}
-	v := m.valueOfWord(pv.Bits)
-	m.ctrl = v.node
-	m.cur = v.graph
+	m.cur = m.Prog.Procs[slot]
+	m.ctrl = m.cur.Entry
 	m.env, m.saved = nil, nil
 	m.uid = m.freshUID()
 	m.abuf = m.abuf[:0]
@@ -302,7 +293,7 @@ func (m *Machine) Run(proc string, args ...uint64) ([]Value, error) {
 	m.halted = false
 	m.results = nil
 	m.runStart = m.Steps
-	m.emitCtl(obs.KCall, m.semSP(0), v.Bits, 0)
+	m.emitCtl(obs.KCall, m.semSP(0), procBase+16*uint64(slot), 0)
 	for !m.halted {
 		if err := m.Step(); err != nil {
 			return nil, err
@@ -530,16 +521,9 @@ func (m *Machine) call(n *cfg.Node) error {
 		m.uid = m.freshUID()
 		return nil
 	case KForeign:
-		f, ok := m.Foreign[callee.name]
-		if !ok {
-			return m.wrongf("imported procedure %s has no implementation", callee.name)
-		}
-		m.emitCtl(obs.KForeign, m.semSP(len(m.stack)), callee.Bits, 0)
-		results, err := f(m, m.A)
-		if err != nil {
+		if err := m.callForeign(callee); err != nil {
 			return err
 		}
-		m.A = results
 		m.ctrl = n.Bundle.NormalReturn()
 		return nil
 	case KCont:
@@ -562,20 +546,29 @@ func (m *Machine) jump(w Value) error {
 		m.uid = m.freshUID()
 		return nil
 	case KForeign:
-		f, ok := m.Foreign[callee.name]
-		if !ok {
-			return m.wrongf("imported procedure %s has no implementation", callee.name)
-		}
-		m.emitCtl(obs.KForeign, m.semSP(len(m.stack)), callee.Bits, 0)
-		results, err := f(m, m.A)
-		if err != nil {
+		// A tail call to foreign code returns directly to the caller.
+		if err := m.callForeign(callee); err != nil {
 			return err
 		}
-		// A tail call to foreign code returns directly to the caller.
-		m.A = results
 		return m.returnTo(0, 0)
 	}
 	return m.wrongf("jumped to a value that is not code (%s)", callee)
+}
+
+// callForeign runs the imported procedure callee names on A and leaves
+// its results in A.
+func (m *Machine) callForeign(callee rich) error {
+	f := m.foreign[(callee.Bits-foreignBase)/16]
+	if f == nil {
+		return m.wrongf("imported procedure %s has no implementation", callee.name)
+	}
+	m.emitCtl(obs.KForeign, m.semSP(len(m.stack)), callee.Bits, 0)
+	results, err := f(m, m.A)
+	if err != nil {
+		return err
+	}
+	m.A = results
+	return nil
 }
 
 func (m *Machine) exit(n *cfg.Node) error {
@@ -918,9 +911,7 @@ func (m *Machine) lookup(v *syntax.VarExpr) (Value, error) {
 	case syntax.RefGlobal:
 		return m.globals[v.Slot], nil
 	case syntax.RefProc, syntax.RefImport:
-		if x, ok := m.procVals[v.Name]; ok {
-			return x, nil
-		}
+		return handle(v), nil
 	case syntax.RefData:
 		if a, ok := m.Img.Labels[v.Name]; ok {
 			return Word(a), nil

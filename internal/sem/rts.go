@@ -116,20 +116,17 @@ func (a Activation) UnwindContCount() int {
 }
 
 // evalStatic evaluates a descriptor expression, which the checker
-// restricts to constants and names.
+// restricts to constants and names: a data label, procedure, import or
+// global register, as the checker resolved it.
 func (m *Machine) evalStatic(e syntax.Expr) (uint64, error) {
 	switch e := e.(type) {
 	case *syntax.IntLit:
 		return e.Val, nil
 	case *syntax.VarExpr:
-		if a, ok := m.Img.Labels[e.Name]; ok {
-			return a, nil
-		}
-		if v, ok := m.procVals[e.Name]; ok {
-			return v.Bits, nil
-		}
-		if v, ok := m.GlobalWord(e.Name); ok {
-			return v, nil
+		switch e.Ref {
+		case syntax.RefData, syntax.RefProc, syntax.RefImport, syntax.RefGlobal:
+			v, err := m.lookup(e)
+			return v.Bits, err
 		}
 	case *syntax.StrLit:
 		if a, ok := m.Img.Strings[e.Val]; ok {

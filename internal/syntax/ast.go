@@ -326,11 +326,15 @@ func (r Ref) String() string {
 	return "unknown"
 }
 
-// VarExpr names a variable, procedure, continuation, or data label. Ref
-// says which. Slot indexes, for a local, the procedure's locals
-// (cfg.Graph.Locals, numbered by translate); for a continuation, its
-// Entry's continuations (cfg.Node.Conts, numbered by translate); for a
-// global, the program's globals in source order (set by the checker).
+// VarExpr names a variable, procedure, continuation, import, or data
+// label. Ref says which. Slot indexes, for a local, the procedure's
+// locals (cfg.Graph.Locals, numbered by translate); for a continuation,
+// its Entry's continuations (cfg.Node.Conts, numbered by translate); for
+// a global, the program's globals in source order (set by the checker);
+// for a procedure, the program's procedures (cfg.Program.Procs: the
+// checker numbers the source's in source order, translate the
+// synthesized ones after them); for an import, the program's foreign
+// table (check.Info.Foreign, cfg.Program.Foreign).
 type VarExpr struct {
 	exprBase
 	Name string

@@ -21,7 +21,7 @@
 //     annotations provably useless for their callee).
 //
 // The checks are flow-insensitive over reachable nodes and use the
-// interprocedural summaries of dataflow.Summarize. Indirect transfers
+// interprocedural summaries of dataflow.CallGraph.Summarize. Indirect transfers
 // (computed callees) are not checked; the semantics still catches them.
 // Every finding is a diag.Diagnostic with pass name "verify".
 package verify
@@ -52,13 +52,13 @@ func Run(prog *cfg.Program, opts Options) diag.List {
 	v := &verifier{
 		prog: prog,
 		opts: opts,
-		sums: dataflow.Summarize(prog),
+		sums: dataflow.NewCallGraph(prog).Summarize(),
 	}
 	if prog.Source != nil {
 		v.file = prog.Source.File
 	}
-	for _, name := range prog.Order {
-		v.proc(prog.Graphs[name])
+	for _, g := range prog.Procs {
+		v.proc(g)
 	}
 	return v.diags
 }
@@ -66,7 +66,7 @@ func Run(prog *cfg.Program, opts Options) diag.List {
 type verifier struct {
 	prog  *cfg.Program
 	opts  Options
-	sums  *dataflow.Summaries
+	sums  []dataflow.Summary // by procedure slot
 	file  string
 	diags diag.List
 }
@@ -170,11 +170,11 @@ func (v *verifier) assign(g *cfg.Graph, n *cfg.Node) {
 // received from elsewhere are checked at call sites instead (may-cut
 // summaries).
 func (v *verifier) cut(g *cfg.Graph, n *cfg.Node) {
-	name, kind := dataflow.ResolveCallee(n.Callee)
+	k, kind := dataflow.ResolveCallee(n.Callee)
 	if kind != dataflow.CalleeCont {
 		return
 	}
-	target := g.ContMap[name]
+	name, target := k.Name, g.Entry.Conts[k.Slot].Node
 	if n.Bundle != nil {
 		for _, c := range n.Bundle.Cuts {
 			if c == target {
@@ -199,14 +199,14 @@ func (v *verifier) call(g *cfg.Graph, n *cfg.Node) {
 		return
 	}
 
-	callee, kind := dataflow.ResolveCallee(n.Callee)
+	ref, kind := dataflow.ResolveCallee(n.Callee)
 	switch kind {
 	case dataflow.CalleeImport:
 		if alt != 0 {
-			v.errorf(n.Pos, "foreign callee %s always returns normally (<0/0>) but the call site has %d alternate return continuations", callee, alt)
+			v.errorf(n.Pos, "foreign callee %s always returns normally (<0/0>) but the call site has %d alternate return continuations", ref.Name, alt)
 		}
 		if v.opts.Strict && (len(b.Cuts) > 0 || len(b.Unwinds) > 0 || b.Abort) {
-			v.warnf(n.Pos, "useless annotation: foreign callee %s can neither cut nor yield", callee)
+			v.warnf(n.Pos, "useless annotation: foreign callee %s can neither cut nor yield", ref.Name)
 		}
 		return
 	case dataflow.CalleeProc:
@@ -215,7 +215,7 @@ func (v *verifier) call(g *cfg.Graph, n *cfg.Node) {
 		return // computed callee: nothing static to check
 	}
 
-	s := v.sums.Procs[callee]
+	callee, s := ref.Name, &v.sums[ref.Slot]
 
 	// Missing "also cuts to"/"also aborts" on a may-cut callee: if the
 	// cut executes, the semantics traps either at this frame ("not

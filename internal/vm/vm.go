@@ -12,6 +12,7 @@ import (
 	"fmt"
 
 	"cmm/internal/codegen"
+	"cmm/internal/diag"
 	"cmm/internal/machine"
 	"cmm/internal/obs"
 )
@@ -146,7 +147,7 @@ func NewInstance(p *codegen.Program, opts ...Option) (*Instance, error) {
 
 	// Data image and globals.
 	if p.Img.End() > uint64(c.memSize) {
-		return nil, fmt.Errorf("image does not fit in %d bytes of memory", c.memSize)
+		return nil, diag.Errorf("link", "", 0, 0, "image does not fit in %d bytes of memory", c.memSize)
 	}
 	copy(m.Mem[p.Img.Base:], p.Img.Bytes)
 	for name, addr := range p.GlobalAddr {

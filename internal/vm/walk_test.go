@@ -46,13 +46,13 @@ func (r *refTables) procAt(pc int) *codegen.ProcInfo {
 // program together with reference tables built from its linked chunks.
 func link(t *testing.T, src *cfg.Program, opts codegen.Options) (*codegen.Program, *refTables) {
 	t.Helper()
-	lay, err := codegen.NewLayout(src, opts)
+	lay, err := codegen.NewLayout(src, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	chunks := make([]*codegen.ProcChunk, len(src.Order))
-	for i, name := range src.Order {
-		if chunks[i], err = lay.EmitProc(name); err != nil {
+	chunks := make([]*codegen.ProcChunk, len(src.Procs))
+	for i := range src.Procs {
+		if chunks[i], err = lay.EmitProc(i); err != nil {
 			t.Fatal(err)
 		}
 	}
